@@ -40,18 +40,22 @@ service-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.service.smoke --state-dir results/service-smoke
 
 # Kill-and-recover drill: boots the real server under --chaos, SIGKILLs
-# it mid-job, tears the journal tail, reboots on the same state dir and
-# gates on full recovery — zero lost terminal states, the interrupted
-# job finishing, and no duplicate computes (see docs/SERVICE.md,
-# "Resilience").  State is kept for artifacts.
+# it mid-job, tears the journal and trace tails, reboots on the same
+# state dir and gates on full recovery — zero lost terminal states, a
+# decodable boot-2 trace header, the interrupted job finishing, and no
+# duplicate computes (see docs/SERVICE.md, "Resilience").  State is
+# kept for artifacts.
 service-chaos:
 	PYTHONPATH=src $(PYTHON) -m repro.service.drill --state-dir results/service-chaos
 
-# Failure drills: fault injection, kill-and-resume, cache contention.
-# pytest-timeout (when installed) backstops a hang in the drills
-# themselves; the suite passes without it.
+# Failure drills: fault injection, kill-and-resume, cache contention,
+# and the crash-safe append log (torn-tail repair, tolerant replay)
+# under the run journal, job store and trace.  pytest-timeout (when
+# installed) backstops a hang in the drills themselves; the suite
+# passes without it.
 CHAOS_TESTS = tests/runtime/test_chaos.py tests/runtime/test_journal.py \
-	tests/runtime/test_cache_hardening.py tests/experiments/test_resume.py
+	tests/runtime/test_cache_hardening.py tests/experiments/test_resume.py \
+	tests/util/test_appendlog.py
 
 chaos:
 	@if $(PYTHON) -c "import pytest_timeout" 2>/dev/null; then \

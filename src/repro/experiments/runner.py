@@ -22,8 +22,10 @@ Runs the requested experiments (all of them by default) on top of the
 * ``--chaos SEED[:SPEC]`` injects seeded, replayable faults (raise,
   hang, corrupt, exit) into task attempts — the failure drills of
   docs/ROBUSTNESS.md.
-* ``--trace FILE`` writes structured JSONL telemetry (one span per task
-  with wall time, cache hit/miss, retries, peak RSS) and prints a digest.
+* ``--trace FILE`` streams a JSONL trace of the run-level records (one
+  summary span per task with wall time, cache hit/miss, retries, peak
+  RSS; executor events; run metrics) into FILE, replacing it, and
+  prints a digest.
 * One failed experiment no longer aborts the batch: the failure is
   reported, the rest complete, and the exit code is nonzero (1).  Claim
   misses exit 2 unless ``--no-fail-on-miss`` is given.
@@ -44,6 +46,7 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     TraceWriter,
+    digest,
     set_tracer,
 )
 from repro.obs import clock as obs_clock
@@ -54,7 +57,6 @@ from repro.runtime import (
     RunJournal,
     TaskResult,
     TaskSpec,
-    Telemetry,
     historical_wall_times,
     longest_first,
     parse_chaos_spec,
@@ -164,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--trace",
         metavar="FILE",
         default=None,
-        help="write structured JSONL telemetry (spans/events/metrics) to FILE",
+        help="write a JSONL trace of task summaries, events and metrics to FILE",
     )
     parser.add_argument(
         "--metrics-out",
@@ -291,8 +293,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     writer: Optional[TraceWriter] = None
     obs_ctx: Optional[Dict[str, Any]] = None
     root_span_id: Optional[str] = None
+    sinks: List[TraceWriter] = []
     if run_dir is not None:
         writer = TraceWriter(os.path.join(run_dir, TRACE_NAME))
+        sinks.append(writer)
         root_span_id = obs_clock.new_id()
         set_tracer(Tracer(writer, trace_id=writer.trace_id, parent_id=root_span_id))
         obs_ctx = {
@@ -300,8 +304,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             "trace_id": writer.trace_id,
             "parent_id": root_span_id,
         }
-    telemetry = Telemetry(sink=writer)
+    if args.trace:
+        # --trace FILE gets only the run-level records below, never the
+        # in-experiment spans: no ambient tracer writes to it.
+        if os.path.lexists(args.trace):
+            os.remove(args.trace)
+        sinks.append(TraceWriter(args.trace))
     metrics = MetricsRegistry()
+    task_spans: Dict[str, Dict[str, Any]] = {}
+
+    def emit(type_: str, **fields: Any) -> Dict[str, Any]:
+        # Run-level records: task summaries, executor events, run metrics.
+        record = {"type": type_, "ts": round(obs_clock.now(), 6), **fields}
+        for sink in sinks:
+            sink.emit(record)
+        return record
+
+    def on_event(kind: str, **fields: Any) -> None:
+        emit("event", kind=kind, **fields)
 
     cache = ResultCache(args.cache_dir)
     keys = {exp_id: cache.key(exp_id, per_exp_kwargs[exp_id]) for exp_id in ids}
@@ -349,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # with no history the order is the registry order, unchanged.
     ordered_misses = longest_first(misses, history)
     if history and ordered_misses != misses:
-        telemetry.event("schedule", policy="longest_first", order=list(ordered_misses))
+        on_event("schedule", policy="longest_first", order=list(ordered_misses))
     tasks = [
         TaskSpec(
             id=exp_id,
@@ -370,9 +390,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     ]
     executor = DagExecutor(
         jobs=args.jobs,
-        telemetry=telemetry,
         fault_plan=fault_plan,
         on_result=on_result,
+        on_event=on_event,
         metrics=metrics,
     )
     results = executor.run(tasks)
@@ -395,8 +415,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     scorecard = []
     for exp_id in ids:
         payload = payloads.get(exp_id)
+        cached = exp_id not in results
+        result = None if cached else results[exp_id]
+        wall = 0.0 if cached else result.wall_s
+        # One id-less summary span per task; its ``task`` field is what
+        # ``repro.obs diff`` and the digest key on.
+        summary = {
+            "name": f"task:{exp_id}",
+            "task": exp_id,
+            "wall_s": round(wall, 6),
+            "retries": 0 if cached else max(0, result.attempts - 1),
+            "peak_rss_kb": None if cached else result.peak_rss_kb,
+        }
         if payload is None:
-            result = results[exp_id]
             task_failures += 1
             status = "corrupt" if exp_id in corrupt else result.status.value
             error = (
@@ -404,30 +435,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                 if exp_id in corrupt
                 else result.error
             )
-            telemetry.span(
-                exp_id,
-                status=status,
-                wall_s=result.wall_s,
-                cache_hit=False,
-                retries=max(0, result.attempts - 1),
-                peak_rss_kb=result.peak_rss_kb,
-            )
+            task_spans[exp_id] = emit("span", status=status, cache_hit=False, **summary)
             print(f"=== {exp_id}: {status.upper()} ===")
             print(f"[{exp_id} {status}: {error}]\n")
             continue
-        cached = exp_id not in results
-        result = None if cached else results[exp_id]
         worker_hit = False if cached else bool(envelopes[exp_id].get("cache_hit"))
         worker_hits += worker_hit
-        wall = 0.0 if cached else result.wall_s
-        telemetry.span(
-            exp_id,
+        task_spans[exp_id] = emit(
+            "span",
             status="ok",
-            wall_s=wall,
             cache_hit=cached or worker_hit,
-            retries=0 if cached else max(0, result.attempts - 1),
-            peak_rss_kb=None if cached else result.peak_rss_kb,
             compute_s=payload.get("compute_s"),
+            **summary,
         )
         print(payload["report"])
         if cached or worker_hit:
@@ -442,10 +461,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             _write_outputs(run_dir, exp_id, payload)
 
     hits = sum(1 for exp_id in ids if exp_id in payloads and exp_id not in results) + worker_hits
-    telemetry.metric("cache_hits", hits)
-    telemetry.metric("cache_misses", len(ids) - hits)
-    telemetry.metric("task_failures", task_failures)
-    telemetry.metric("claim_misses", claim_misses)
+    emit("metric", name="cache_hits", value=hits)
+    emit("metric", name="cache_misses", value=len(ids) - hits)
+    emit("metric", name="task_failures", value=task_failures)
+    emit("metric", name="claim_misses", value=claim_misses)
     metrics.inc("cache_hits_total", hits)
     metrics.inc("cache_misses_total", len(ids) - hits)
     metrics.inc("task_failures_total", task_failures)
@@ -464,9 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _write_scorecard(args.report, scorecard, seed=args.seed, quick=args.quick)
         print(f"Scorecard written to {args.report}")
     if args.trace:
-        _ensure_parent(args.trace)
-        telemetry.write(args.trace)
-        print(telemetry.summary())
+        print(digest(task_spans))
         print(f"Trace written to {args.trace}")
 
     code = EXIT_OK

@@ -210,10 +210,9 @@ class NondeterministicCallRule(Rule):
     Timestamps, UUIDs and entropy reads make output differ between
     identical runs, so cached payloads stop being content-addressed
     facts.  :mod:`repro.obs.clock` is the sanctioned wall-clock and
-    entropy-id module (default per-rule-exclude); anything else —
-    including the telemetry shim — must route through it, take
-    timestamps as parameters, or carry an inline suppression explaining
-    why wall-clock behaviour is the point.
+    entropy-id module (default per-rule-exclude); anything else must
+    route through it, take timestamps as parameters, or carry an inline
+    suppression explaining why wall-clock behaviour is the point.
     """
 
     code = "REP003"

@@ -5,8 +5,8 @@ views ``python -m repro.obs summarize`` prints: a digest line (task
 counts, cache ratio, retries, total wall), and the span tree with the
 *critical path* — the chain of spans that dominated wall time, found by
 walking from each root to its most expensive child — marked ``*``.
-Spans from v1 traces have no ids, so they render as a flat list under
-an implicit root; the digest works identically for both schemas.
+The runner's per-task summary spans have no ids, so they render as
+leaves under the implicit root.
 """
 
 from __future__ import annotations
@@ -19,7 +19,11 @@ __all__ = ["critical_path", "digest", "render_tree", "summarize_trace"]
 
 
 def digest(task_spans: Dict[str, Dict[str, Any]]) -> str:
-    """One-line run digest over the task-summary spans."""
+    """One-line run digest over the task-summary spans.
+
+    The runner prints it after a ``--trace FILE`` run; ``repro.obs
+    summarize`` prints it for any trace file.
+    """
     if not task_spans:
         return "trace: no tasks recorded"
     spans = list(task_spans.values())
@@ -30,12 +34,15 @@ def digest(task_spans: Dict[str, Dict[str, Any]]) -> str:
     hits = sum(1 for s in spans if s.get("cache_hit"))
     retries = sum(int(s.get("retries") or 0) for s in spans)
     wall = sum(float(s.get("wall_s") or 0.0) for s in spans)
+    rss_values = [s["peak_rss_kb"] for s in spans if s.get("peak_rss_kb")]
     parts = [
         f"{len(spans)} task(s): " + ", ".join(f"{n} {st}" for st, n in sorted(by_status.items())),
         f"cache {hits} hit / {len(spans) - hits} miss",
         f"{retries} retrie(s)",
         f"{wall:.1f}s total task wall time",
     ]
+    if rss_values:
+        parts.append(f"peak RSS {max(rss_values) / 1024:.0f} MB")
     return "trace: " + "; ".join(parts)
 
 
@@ -74,8 +81,8 @@ def critical_path(trace: Trace) -> List[Dict[str, Any]]:
     node = heaviest(children.get(None, []))
     while node is not None:
         path.append(node)
-        # An id-less span (v1 record) cannot have children; descending on
-        # its None id would walk the root set again, forever.
+        # An id-less span (a task summary) cannot have children; descending
+        # on its None id would walk the root set again, forever.
         node_id = node.get("span_id")
         node = heaviest(children.get(node_id, [])) if node_id else None
     return path
@@ -103,7 +110,7 @@ def render_tree(trace: Trace, *, max_name: int = 48) -> str:
             lines.append(f"{indent}{branch}{name} {wall:.3f}s{suffix}{mark}")
             child_indent = indent + ("" if branch == "" else ("   " if last else "│  "))
             span_id = span.get("span_id")
-            if span_id:  # id-less v1 spans have no children by construction
+            if span_id:  # id-less summary spans have no children by construction
                 walk(span_id, child_indent)
 
     walk(None, "")

@@ -1,4 +1,4 @@
-"""Experiment runtime: parallel DAG executor, result cache, telemetry.
+"""Experiment runtime: parallel DAG executor, result cache, run journal.
 
 The runtime layer is what lets ``python -m repro.experiments`` scale
 past a serial for-loop while staying byte-for-byte reproducible:
@@ -11,16 +11,16 @@ past a serial for-loop while staying byte-for-byte reproducible:
   content-addressed result cache keyed on ``(experiment id, kwargs,
   code fingerprint)``, checksummed on read, with advisory per-key locks
   so concurrent runs compute each key exactly once;
-* :mod:`repro.runtime.telemetry` — the flat per-task summary shim over
-  the :mod:`repro.obs` streaming trace layer (hierarchical spans,
-  metrics registry, profiling — see docs/OBSERVABILITY.md);
 * :mod:`repro.runtime.schedule` — journal-driven longest-first (LPT)
   submission order for cache misses, with an exact input-order
   fallback when no history exists;
 * :mod:`repro.runtime.faults` — seeded, replayable fault injection
   (``--chaos``) for exercising the failure paths on purpose;
 * :mod:`repro.runtime.journal` — the append-only crash journal that
-  backs ``--resume``.
+  backs ``--resume`` (on :mod:`repro.util.appendlog`).
+
+Tracing and metrics live in :mod:`repro.obs` (docs/OBSERVABILITY.md);
+the executor reports its events through an ``on_event`` hook.
 
 The layer is deliberately generic: it knows nothing about Co-plots or
 workload models, only picklable callables — see docs/RUNTIME.md and
@@ -28,13 +28,12 @@ docs/ROBUSTNESS.md.
 """
 
 from repro.runtime.cache import CacheKeyError, ResultCache, cache_key, canonical_json
-from repro.runtime.executor import DagExecutor
+from repro.runtime.executor import DagExecutor, backoff_delay
 from repro.runtime.faults import FaultPlan, FaultRule, InjectedFault, parse_chaos_spec
 from repro.runtime.fingerprint import code_fingerprint, tree_fingerprint
 from repro.runtime.journal import JOURNAL_NAME, RunJournal
 from repro.runtime.schedule import historical_wall_times, longest_first
 from repro.runtime.task import TaskResult, TaskSpec, TaskStatus, toposort
-from repro.runtime.telemetry import Telemetry, summarize
 
 __all__ = [
     "CacheKeyError",
@@ -48,14 +47,13 @@ __all__ = [
     "TaskResult",
     "TaskSpec",
     "TaskStatus",
-    "Telemetry",
+    "backoff_delay",
     "cache_key",
     "canonical_json",
     "code_fingerprint",
     "historical_wall_times",
     "longest_first",
     "parse_chaos_spec",
-    "summarize",
     "toposort",
     "tree_fingerprint",
 ]

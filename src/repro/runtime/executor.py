@@ -20,8 +20,8 @@ Failure semantics (both modes):
   and its value is discarded;
 * a worker process that *dies* (segfault, ``os._exit``, OOM kill)
   breaks the pool: the attempts lost with it are charged a retry, the
-  pool is rebuilt (a ``pool_rebuild`` telemetry event records why) and
-  the batch continues.
+  pool is rebuilt (a ``pool_rebuild`` event records why) and the batch
+  continues.
 
 Failed attempts report the wall time measured *inside* the worker, not
 time-in-queue — an attempt that raised after 0.2s on a saturated pool
@@ -30,11 +30,15 @@ is billed 0.2s, no matter how long it waited for a worker slot.
 Chaos hooks: pass ``fault_plan`` (a
 :class:`~repro.runtime.faults.FaultPlan`) and the executor consults it
 once per (task, attempt) at submission time, wrapping the task function
-with the armed fault and emitting a ``fault_injected`` telemetry event.
+with the armed fault and emitting a ``fault_injected`` event.
 Decisions are a pure function of the plan seed, so serial and pool runs
-inject identically.  Pass ``on_result`` to observe every terminal
-:class:`TaskResult` (including skips) the moment it is recorded — the
-runner's crash-safe journal hangs off this hook.
+inject identically.
+
+Hooks: ``on_result`` observes every terminal :class:`TaskResult`
+(including skips) the moment it is recorded — the runner's crash-safe
+journal hangs off it.  ``on_event(kind, **fields)`` observes every
+executor event (``retry``, ``timeout``, ``pool_rebuild``,
+``fault_injected``) — the runner streams them into its traces.
 
 The executor never raises on task failure; inspect the returned
 ``TaskResult`` map instead.
@@ -52,12 +56,21 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import FaultPlan
 from repro.runtime.task import TaskResult, TaskSpec, TaskStatus, toposort
-from repro.runtime.telemetry import Telemetry
 
-__all__ = ["DagExecutor"]
+__all__ = ["DagExecutor", "backoff_delay"]
 
 #: Seconds the event loop waits on in-flight futures per tick.
 _TICK_S = 0.05
+
+
+def backoff_delay(key: str, attempt: int, base_s: float, cap_s: float) -> float:
+    """Exponential backoff with deterministic per-(key, attempt) jitter.
+
+    The retry delay of both the DAG executor (keyed by task id) and the
+    service's job supervisor (keyed by job id).
+    """
+    base = min(cap_s, base_s * (2 ** (attempt - 1)))
+    return base * random.Random(f"{key}:{attempt}").uniform(0.5, 1.5)
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -108,23 +121,23 @@ class DagExecutor:
         self,
         jobs: int = 1,
         *,
-        telemetry: Optional[Telemetry] = None,
         backoff_base_s: float = 0.25,
         backoff_cap_s: float = 8.0,
         sleep: Callable[[float], None] = time.sleep,
         fault_plan: Optional[FaultPlan] = None,
         on_result: Optional[Callable[[TaskResult], None]] = None,
+        on_event: Optional[Callable[..., None]] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.telemetry = telemetry
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._sleep = sleep
         self.fault_plan = fault_plan
         self.on_result = on_result
+        self.on_event = on_event
         self.metrics = metrics
         self._fault_counts: Dict[str, int] = {}
 
@@ -143,12 +156,6 @@ class DagExecutor:
 
     # -- shared helpers -----------------------------------------------------
 
-    def _backoff_delay(self, task: TaskSpec, attempt: int) -> float:
-        """Exponential backoff with deterministic per-(task, attempt) jitter."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        jitter = random.Random(f"{task.id}:{attempt}").uniform(0.5, 1.5)
-        return base * jitter
-
     #: Event kinds mirrored into metrics counters when a registry is attached.
     _EVENT_COUNTERS = {
         "retry": "retries_total",
@@ -158,8 +165,8 @@ class DagExecutor:
     }
 
     def _event(self, kind: str, **fields: Any) -> None:
-        if self.telemetry is not None:
-            self.telemetry.event(kind, **fields)
+        if self.on_event is not None:
+            self.on_event(kind, **fields)
         if self.metrics is not None and kind in self._EVENT_COUNTERS:
             self.metrics.inc(self._EVENT_COUNTERS[kind])
 
@@ -262,7 +269,7 @@ class DagExecutor:
             else:
                 status, error = TaskStatus.FAILED, value
             if attempt <= task.retries:
-                delay = self._backoff_delay(task, attempt)
+                delay = backoff_delay(task.id, attempt, self.backoff_base_s, self.backoff_cap_s)
                 self._event("retry", task=task.id, attempt=attempt, delay_s=round(delay, 4), error=error)
                 self._sleep(delay)
                 continue
@@ -292,7 +299,7 @@ class DagExecutor:
 
         def fail_or_retry(task: TaskSpec, attempt: int, status: TaskStatus, error: str, wall: float) -> None:
             if attempt <= task.retries:
-                delay = self._backoff_delay(task, attempt)
+                delay = backoff_delay(task.id, attempt, self.backoff_base_s, self.backoff_cap_s)
                 self._event("retry", task=task.id, attempt=attempt, delay_s=round(delay, 4), error=error)
                 sleeping.append((time.monotonic() + delay, task, attempt + 1))
             else:

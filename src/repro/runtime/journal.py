@@ -7,7 +7,8 @@ task finishes* — so a run killed at any instant leaves a journal that
 names exactly what completed.  ``--resume <run-dir>`` reloads it and
 re-executes only tasks not recorded ``ok``.
 
-Records are single JSON lines flushed and fsynced on write; a crash can
+Records are single JSON lines appended through
+:mod:`repro.util.appendlog` (flushed and fsynced on write); a crash can
 tear at most the final line, and :meth:`RunJournal.load` skips any line
 that does not decode rather than failing the resume.  Appends never
 rewrite earlier records, so the journal doubles as a run audit trail —
@@ -22,36 +23,12 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
-__all__ = ["JOURNAL_NAME", "RunJournal", "repair_torn_tail"]
+from repro.util import appendlog
+
+__all__ = ["JOURNAL_NAME", "RunJournal"]
 
 #: File name of the journal inside a run directory.
 JOURNAL_NAME = "journal.jsonl"
-
-
-def repair_torn_tail(path: Union[str, os.PathLike]) -> bool:
-    """Terminate a torn final line so future appends stay on fresh lines.
-
-    A crash mid-append can leave the journal without a trailing newline.
-    Readers already skip the undecodable fragment — but a *writer* that
-    appends after such a tear would glue its record onto the fragment,
-    losing a line that its fsync'd flush reported durable.  Called by
-    every journal writer before its first append; returns whether a
-    repair was needed.
-    """
-    try:
-        with open(path, "rb+") as fh:
-            fh.seek(0, os.SEEK_END)
-            if fh.tell() == 0:
-                return False
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) == b"\n":
-                return False
-            fh.write(b"\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-            return True
-    except OSError:  # no journal yet: nothing to repair
-        return False
 
 
 class RunJournal:
@@ -60,17 +37,11 @@ class RunJournal:
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        repair_torn_tail(self.path)
+        # The journal's owner: a resumed run reopens a possibly torn file.
+        appendlog.repair_torn_tail(self.path)
 
     def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, sort_keys=True)
-        # Append mode: single short lines, flushed and fsynced, so a
-        # SIGKILL between tasks never loses a completed record and can
-        # tear at most the line being written.
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        appendlog.append(self.path, [json.dumps(record, sort_keys=True)])
 
     def meta(self, **fields: Any) -> None:
         """Record run-level metadata (seed, quick, ids) for ``--resume``."""
@@ -107,20 +78,10 @@ class RunJournal:
         meta: Dict[str, Any] = {}
         entries: Dict[str, Dict[str, Any]] = {}
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            records, _ = appendlog.replay(path)
         except OSError:
             return meta, entries
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn tail line from a crash mid-append
-            if not isinstance(record, dict):
-                continue
+        for record in records:
             if record.get("type") == "meta":
                 meta.update({k: v for k, v in record.items() if k != "type"})
             elif record.get("type") == "task" and isinstance(record.get("task"), str):

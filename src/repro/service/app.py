@@ -41,24 +41,21 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from repro.obs import MetricsRegistry, Tracer, TraceWriter
+from repro.obs import TRACE_NAME, MetricsRegistry, Tracer, TraceWriter
 from repro.obs import clock as obs_clock
 from repro.runtime.cache import ResultCache
+from repro.runtime.faults import parse_chaos_spec
 from repro.runtime.fingerprint import code_fingerprint
 from repro.service.analyses import parse_analysis_request, spec_cache_key
-from repro.service.chaos import ServiceChaos
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobRunner
 from repro.service.store import JobStore
 from repro.workload.swf import read_swf
 
-__all__ = ["DEFAULT_MAX_BODY_BYTES", "ServiceApp", "TRACE_FILE_NAME", "make_server"]
+__all__ = ["DEFAULT_MAX_BODY_BYTES", "ServiceApp", "make_server"]
 
 #: Default request-body ceiling: generous for real SWF logs, finite.
 DEFAULT_MAX_BODY_BYTES = 64 * 1024 * 1024
-
-#: The service's streaming trace file inside the state directory.
-TRACE_FILE_NAME = "trace.jsonl"
 
 #: Media types treated as a raw SWF upload body.
 _UPLOAD_TYPES = (
@@ -117,7 +114,7 @@ class ServiceApp:
         self.max_body_bytes = int(max_body_bytes)
         self.metrics = MetricsRegistry()
         self.store = JobStore(state_dir)
-        self.writer = TraceWriter(os.path.join(state_dir, TRACE_FILE_NAME))
+        self.writer = TraceWriter(os.path.join(state_dir, TRACE_NAME))
         self.tracer = Tracer(self.writer, trace_id=self.writer.trace_id)
         self.fingerprint = code_fingerprint()
         self.cache = ResultCache(self.cache_dir, fingerprint=self.fingerprint)
@@ -134,7 +131,7 @@ class ServiceApp:
             job_timeout_s=job_timeout_s,
             job_retries=job_retries,
             poison_threshold=poison_threshold,
-            chaos=ServiceChaos.from_spec(chaos) if chaos else None,
+            fault_plan=parse_chaos_spec(chaos) if chaos else None,
             before_execute=before_execute,
         )
         self.recovered_jobs, self.poisoned_on_boot = self.runner.recover()

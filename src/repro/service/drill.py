@@ -11,11 +11,14 @@ The drill:
    hangs a few seconds — a guaranteed mid-compute window),
 2. submits job A (cheap Hurst analysis) and waits for ``done``; submits
    job B (co-plot) and waits until it is ``running``,
-3. SIGKILLs the server mid-job and *tears the journal tail* — a torn,
-   newline-less fragment, exactly what a crash mid-append leaves,
+3. SIGKILLs the server mid-job and *tears the tails* of the jobs
+   journal and the trace — a torn, newline-less fragment, exactly what
+   a crash mid-append leaves,
 4. reboots the service on the same state dir and gates on full
    recovery:
 
+   - boot 2's trace header decodes: the reopened trace repaired the
+     torn tail before appending (the trace names boot 2's id),
    - **zero lost terminal states**: A is still ``done`` after the kill
      and the tear,
    - B is recovered and reaches ``done``,
@@ -46,10 +49,11 @@ import time
 import urllib.parse
 from typing import Any, Dict, List, Optional
 
-from repro.service.chaos import tear_journal
+from repro.archive.synthesize import synthesize_workload
+from repro.obs import TRACE_NAME, read_trace
 from repro.service.smoke import _metric, _poll_done, _request
 from repro.service.store import JOBS_JOURNAL_NAME
-from repro.archive.synthesize import synthesize_workload
+from repro.util.appendlog import tear
 from repro.workload.swf import render_swf_text
 
 __all__ = ["main", "run_drill"]
@@ -181,14 +185,23 @@ def run_drill(state_dir: str, *, chaos: Optional[str], timeout_s: float = 120.0)
     finally:
         server.kill9()
 
-    # The crash also tears the journal tail, as a real mid-append kill would.
+    # The crash also tears both logs' tails, as a real mid-append kill would.
     journal = os.path.join(state_dir, JOBS_JOURNAL_NAME)
-    tear_journal(journal, "drill-tear")
+    tear(journal, "drill-tear")
     check(os.path.exists(journal), "journal torn after the kill")
+    trace_path = os.path.join(state_dir, TRACE_NAME)
+    boot1_trace_id = read_trace(trace_path).trace_id
+    tear(trace_path, "drill-tear")
+    check(read_trace(trace_path).truncated, "trace torn after the kill")
 
     # Boot 2: same state dir; gate on full recovery.
     server = _Server(state_dir, chaos=chaos, log_prefix="boot2")
     try:
+        boot2_trace_id = read_trace(trace_path).trace_id
+        check(
+            boot2_trace_id not in (None, boot1_trace_id),
+            f"boot2: trace header decodes after the torn tail (trace id {boot2_trace_id})",
+        )
         _, body, _ = _request(f"{server.base}/v1/analyses/{job_a['id']}")
         job = json.loads(body)["job"]
         check(

@@ -15,7 +15,8 @@ Each accepted submission becomes one journaled job record
    — timeouts are *hard*: the slot frees immediately, no thread is left
    wedged behind a hung compute,
 4. retries transient failures (worker crash, injected fault, I/O
-   contention) with jittered exponential backoff, charging worker
+   contention) with the runtime's jittered exponential backoff
+   (:func:`repro.runtime.executor.backoff_delay`), charging worker
    crashes to the spec's poison counter — a spec that crashes its
    worker ``poison_threshold`` times (in one process life or across
    restarts) lands in ``poisoned`` and is quarantined until pardoned,
@@ -29,6 +30,16 @@ once, reserved at submit time and released at the terminal state, so an
 overloaded server sheds load with ``429 over_capacity`` (and reports
 headroom on ``/readyz``) instead of queueing without limit.
 
+Chaos: with a :class:`~repro.runtime.faults.FaultPlan` (the server's
+``--chaos SEED[:SPEC]``) each attempt is armed on ``<kind>:<key[:12]>``
+— the spec's cache key, not the random job id, so a fault found under
+``--chaos 7`` replays under ``--chaos 7`` across restarts, and rules
+glob per analysis kind (``hurst*=exit``).  ``raise``, ``exit`` and
+``hang`` land in the worker (a transient failure, a worker crash, a
+straggler for the watchdog); ``corrupt`` is supervisor-side: it tears
+the jobs journal (:func:`repro.util.appendlog.tear`) and runs the
+attempt clean.
+
 Concurrency discipline: ``_state`` (a Condition) guards the slot count,
 per-job controls and lifecycle flags and is never held across I/O —
 journal writes, pipe reads and process reaping all happen outside it.
@@ -41,7 +52,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -50,10 +60,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.obs import MetricsRegistry, Tracer, TraceWriter, event, reset_tracer, set_tracer, span
 from repro.obs import clock as obs_clock
 from repro.runtime.cache import ResultCache
-from repro.service.chaos import ServiceChaos, tear_journal
+from repro.runtime.executor import backoff_delay
+from repro.runtime.faults import FaultPlan
 from repro.service.errors import ServiceError
 from repro.service.store import TERMINAL_STATES, JobStore
 from repro.service.worker import job_worker_main
+from repro.util.appendlog import tear
 from repro.util.atomicio import atomic_symlink, atomic_write_bytes, atomic_write_text
 
 __all__ = ["RUNS_DIR_NAME", "JobRunner"]
@@ -108,7 +120,7 @@ class JobRunner:
         backoff_base_s: float = 0.25,
         backoff_cap_s: float = 8.0,
         retry_after_s: float = 1.0,
-        chaos: Optional[ServiceChaos] = None,
+        fault_plan: Optional[FaultPlan] = None,
         before_execute: Optional[Callable[[str], None]] = None,
     ) -> None:
         if workers < 1:
@@ -133,7 +145,7 @@ class JobRunner:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.retry_after_s = retry_after_s
-        self.chaos = chaos
+        self.fault_plan = fault_plan
         #: Test/diagnostic seam: runs in the supervisor before a job starts.
         self.before_execute = before_execute
         self.cache = ResultCache(cache_dir, fingerprint=fingerprint)
@@ -403,11 +415,14 @@ class JobRunner:
             if control.cancel.is_set():
                 self._finish_cancelled(job_id, t0, attempt)
                 return
-            fault = self.chaos.arm(record, attempt) if self.chaos is not None else None
+            fault = None
+            if self.fault_plan is not None:
+                fault_id = f"{record.get('kind')}:{str(record.get('key'))[:12]}"
+                fault = self.fault_plan.arm(fault_id, attempt)
             if fault is not None and fault.kind == "corrupt":
                 # Journal chaos is supervisor-side: tear the jobs journal
                 # (a mid-append crash) and run the attempt itself clean.
-                tear_journal(self.store.path, f"chaos-tear-{attempt}")
+                tear(self.store.path, f"chaos-tear-{attempt}")
                 self.metrics.inc("chaos_journal_tears_total")
                 event("chaos_journal_torn", job=job_id, attempt=attempt)
                 fault = None
@@ -458,7 +473,7 @@ class JobRunner:
                     job_id, t0, attempt, code=outcome["code"], message=outcome["message"]
                 )
                 return
-            delay = self._backoff_delay(job_id, attempt)
+            delay = backoff_delay(job_id, attempt, self.backoff_base_s, self.backoff_cap_s)
             self.metrics.inc("job_retries_total")
             event(
                 "job_retry",
@@ -635,11 +650,6 @@ class JobRunner:
             },
         )
         self.metrics.inc("analyses_poisoned_total")
-
-    def _backoff_delay(self, job_id: str, attempt: int) -> float:
-        """Exponential backoff with deterministic per-(job, attempt) jitter."""
-        base = min(self.backoff_cap_s, self.backoff_base_s * (2 ** (attempt - 1)))
-        return base * random.Random(f"{job_id}:{attempt}").uniform(0.5, 1.5)
 
     def _write_run_dir(self, job_id: str, record: Dict[str, Any], payload: Dict[str, Any]) -> str:
         """Persist one job's outputs into a fresh stamped run directory.

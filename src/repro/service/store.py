@@ -1,13 +1,13 @@
 """Journal-backed job store: the service's durable state.
 
 Every job state transition is one fsync'd JSON line appended to
-``<state-dir>/jobs.jsonl`` — the same crash-semantics as the runtime's
-run journal (:mod:`repro.runtime.journal`): a SIGKILL can tear at most
-the line being written, later records for a job supersede earlier ones,
-and a restarted server replays the file to recover exactly what every
-job was doing.  Results themselves are *not* stored here: a finished
-job records the runtime-cache key its payload was published under, so
-result reads after a restart are cache reads.
+``<state-dir>/jobs.jsonl`` through :mod:`repro.util.appendlog` — the
+same crash-semantics as the runtime's run journal: a SIGKILL can tear
+at most the line being written, later records for a job supersede
+earlier ones, and a restarted server replays the file to recover
+exactly what every job was doing.  Results themselves are *not* stored
+here: a finished job records the runtime-cache key its payload was
+published under, so result reads after a restart are cache reads.
 
 Beyond job records the journal carries ``poison`` records — per-cache-key
 crash counters feeding the poison-spec circuit breaker
@@ -43,7 +43,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.runtime.journal import repair_torn_tail
+from repro.util import appendlog
 from repro.util.atomicio import atomic_write_bytes
 
 __all__ = [
@@ -84,27 +84,17 @@ class JobStore:
         # A crash mid-append may have left a torn, newline-less tail;
         # terminate it before this process appends anything, or the
         # first new record would glue onto the fragment and be lost.
-        repair_torn_tail(self.path)
+        appendlog.repair_torn_tail(self.path)
         self._load()
 
     # -- journal replay ------------------------------------------------------
 
     def _load(self) -> None:
         try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                lines = fh.readlines()
+            records, _ = appendlog.replay(self.path)
         except OSError:
             return
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:  # torn tail from a crash mid-append
-                continue
-            if not isinstance(record, dict):
-                continue
+        for record in records:
             if record.get("type") == "poison":
                 key, count = record.get("key"), record.get("count")
                 if isinstance(key, str) and isinstance(count, int):
@@ -124,7 +114,7 @@ class JobStore:
 
     def _queue(self, record: Dict[str, Any]) -> None:
         """Queue *record*'s journal line; caller must hold ``_lock``."""
-        self._pending.append(json.dumps({"type": "job", **record}, sort_keys=True) + "\n")
+        self._pending.append(json.dumps(record, sort_keys=True))
 
     def flush(self) -> None:
         """Drain queued journal lines to disk (append + fsync).
@@ -135,12 +125,8 @@ class JobStore:
         with self._io_lock:
             with self._lock:
                 lines, self._pending = self._pending, []
-            if not lines:
-                return
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(lines))
-                fh.flush()
-                os.fsync(fh.fileno())
+            if lines:
+                appendlog.append(self.path, lines)
 
     def create_deferred(self, job_id: str, **fields: Any) -> Dict[str, Any]:
         """Register a new ``queued`` job and queue its journal line.
@@ -161,7 +147,7 @@ class JobStore:
                 raise ValueError(f"duplicate job id {job_id}")
             self._jobs[job_id] = record
             self._order.append(job_id)
-            self._queue(record)
+            self._queue({"type": "job", **record})
         return dict(record)
 
     def create(self, job_id: str, **fields: Any) -> Dict[str, Any]:
@@ -183,32 +169,27 @@ class JobStore:
             merged = {**current, **fields}
             merged = {k: v for k, v in merged.items() if v is not None}
             self._jobs[job_id] = merged
-            self._queue(merged)
+            self._queue({"type": "job", **merged})
         self.flush()
         return dict(merged)
 
     # -- poison circuit breaker ---------------------------------------------
 
-    def record_key_failure(self, key: str) -> int:
-        """Bump *key*'s crash counter; returns the new (journaled) count."""
+    def _journal_poison(self, key: str, *, reset: bool) -> int:
         with self._lock:
-            count = self._poison.get(key, 0) + 1
+            count = 0 if reset else self._poison.get(key, 0) + 1
             self._poison[key] = count
-            self._pending.append(
-                json.dumps({"type": "poison", "key": key, "count": count}, sort_keys=True)
-                + "\n"
-            )
+            self._queue({"type": "poison", "key": key, "count": count})
         self.flush()
         return count
 
+    def record_key_failure(self, key: str) -> int:
+        """Bump *key*'s crash counter; returns the new (journaled) count."""
+        return self._journal_poison(key, reset=False)
+
     def pardon_key(self, key: str) -> None:
         """Reset *key*'s crash counter to zero (the ``retry`` pardon)."""
-        with self._lock:
-            self._poison[key] = 0
-            self._pending.append(
-                json.dumps({"type": "poison", "key": key, "count": 0}, sort_keys=True) + "\n"
-            )
-        self.flush()
+        self._journal_poison(key, reset=True)
 
     def poison_count(self, key: str) -> int:
         with self._lock:

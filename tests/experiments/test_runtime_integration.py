@@ -99,6 +99,20 @@ class TestTrace:
         assert metrics["cache_misses"] == 0
 
 
+class TestTraceFile:
+    def test_rerun_replaces_the_trace_file(self, tmp_path, capsys):
+        trace = tmp_path / "trace.jsonl"
+        cache = str(tmp_path / "cache")
+        for _ in range(2):
+            assert main(["figure2", "--quick", "--trace", str(trace), "--cache-dir", cache]) == EXIT_OK
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert [r["type"] for r in records] == ["header", "span"] + ["metric"] * 4
+        assert records[1]["name"] == "task:figure2"
+        assert records[1]["cache_hit"] is True
+        assert "span_id" not in records[1]  # summary spans stay id-less
+        assert "trace: 1 task(s): 1 ok; cache 1 hit / 0 miss" in capsys.readouterr().out
+
+
 def _boom_experiment(**kwargs):
     raise RuntimeError("synthetic experiment failure")
 

@@ -98,7 +98,7 @@ class TestConfigApplied:
     def test_builtin_clock_exemption(self, tmp_path):
         # The default per-rule excludes sanction wall-clock reads in
         # repro/obs/clock.py (the single sanctioned entropy module);
-        # everything else — including the telemetry shim — must route
+        # everything else — any runtime module included — must route
         # through it and gets flagged.
         obs = tmp_path / "repro" / "obs"
         obs.mkdir(parents=True)

@@ -46,6 +46,15 @@ class TestDigest:
         assert "cache 1 hit / 1 miss" in line
         assert "1 retrie(s)" in line
         assert "3.0s total" in line
+        assert "peak RSS" not in line  # no span measured it
+
+    def test_peak_rss_is_the_max_over_tasks(self):
+        spans = {
+            "a": {"status": "ok", "peak_rss_kb": 2048},
+            "b": {"status": "ok", "peak_rss_kb": 4096},
+            "c": {"status": "ok", "peak_rss_kb": None},
+        }
+        assert digest(spans).endswith("; peak RSS 4 MB")
 
 
 class TestCriticalPath:

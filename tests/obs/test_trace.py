@@ -1,11 +1,10 @@
-"""Trace file tests: v2 round-trip, v1 back-compat, torn-tail tolerance."""
+"""Trace file tests: v2 round-trip, torn-tail tolerance and repair."""
 
 import json
 
 import pytest
 
-from repro.obs import TRACE_SCHEMA_VERSION, Tracer, TraceWriter, read_trace, write_trace
-from repro.runtime.telemetry import Telemetry
+from repro.obs import TRACE_SCHEMA_VERSION, Tracer, TraceWriter, read_trace
 
 
 class TestStreamingRoundTrip:
@@ -49,44 +48,6 @@ class TestStreamingRoundTrip:
             read_trace(tmp_path / "absent.jsonl")
 
 
-class TestSchemaV1Compat:
-    def test_reads_buffered_telemetry_output(self, tmp_path):
-        # The deprecated shim writes the full trace at run end; its task
-        # spans must keep working through the v2 reader.
-        path = tmp_path / "trace.jsonl"
-        t = Telemetry(clock=lambda: 1000.0)
-        t.span("figure1", status="ok", wall_s=1.25, cache_hit=True, retries=0, peak_rss_kb=1)
-        t.metric("cache_hits", 1)
-        t.write(path)
-        trace = read_trace(path)
-        assert trace.schema == TRACE_SCHEMA_VERSION  # shim writes a v2 header
-        assert trace.task_spans["figure1"]["cache_hit"] is True
-        # v1-style records are normalized: ids None, name synthesized.
-        rec = trace.task_spans["figure1"]
-        assert rec["name"] == "task:figure1"
-        assert rec["span_id"] is None and rec["parent_id"] is None
-
-    def test_headerless_v1_fragment_reports_schema_1(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        records = [
-            {"type": "span", "task": "table1", "status": "ok", "wall_s": 2.0, "ts": 1.0},
-            {"type": "metric", "name": "cache_hits", "value": 0, "ts": 1.0},
-        ]
-        path.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-        trace = read_trace(path)
-        assert trace.schema == 1
-        assert trace.trace_id is None
-        assert trace.task_spans["table1"]["wall_s"] == 2.0
-
-    def test_write_trace_round_trips(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        write_trace(path, [{"type": "span", "task": "x", "status": "ok"}], trace_id="tid")
-        trace = read_trace(path)
-        assert trace.trace_id == "tid"
-        assert trace.schema == TRACE_SCHEMA_VERSION
-        assert "x" in trace.task_spans
-
-
 class TestTornTail:
     def test_torn_final_line_is_tolerated_and_flagged(self, tmp_path):
         path = tmp_path / "trace.jsonl"
@@ -99,6 +60,27 @@ class TestTornTail:
         trace = read_trace(path)
         assert trace.truncated
         assert "done" in trace.task_spans  # everything before the tear survives
+
+    def test_reopened_writer_repairs_torn_tail(self, tmp_path):
+        # A resumed run or a rebooted service reopens a trace a SIGKILL
+        # tore mid-append: its header must land on a fresh line.
+        path = tmp_path / "trace.jsonl"
+        TraceWriter(path, trace_id="first").emit({"type": "event", "kind": "before"})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "event", "kind": "to')  # crash mid-append
+        second = TraceWriter(path, trace_id="second")
+        header = json.loads(path.read_text().splitlines()[-1])
+        assert header["type"] == "header"
+        assert header["trace_id"] == second.trace_id
+        assert read_trace(path).trace_id == "second"
+
+    def test_worker_writer_never_repairs(self, tmp_path):
+        # Another process may be mid-append: a headerless writer must not
+        # touch the tail.
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"type": "header", "trace_id": "t0"}\n{"partial')
+        TraceWriter(path, trace_id="t0", write_header=False)
+        assert path.read_text().endswith('{"partial')
 
     def test_mid_file_garbage_is_skipped_not_fatal(self, tmp_path):
         path = tmp_path / "trace.jsonl"

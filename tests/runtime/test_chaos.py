@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from repro.experiments.runner import EXIT_OK, main
+from repro.obs import read_trace
 from repro.runtime import (
     DagExecutor,
     FaultPlan,
@@ -19,7 +21,6 @@ from repro.runtime import (
     ResultCache,
     TaskSpec,
     TaskStatus,
-    Telemetry,
     parse_chaos_spec,
 )
 from repro.runtime.faults import corrupt_file, truncate_file, vanish_file
@@ -29,12 +30,19 @@ def add(a, b):
     return a + b
 
 
-def _executor(jobs=1, *, plan=None, telemetry=None):
+class Events(list):
+    """An ``on_event`` hook that keeps every executor event as a dict."""
+
+    def __call__(self, kind, **fields):
+        self.append({"kind": kind, **fields})
+
+
+def _executor(jobs=1, *, plan=None, on_event=None):
     return DagExecutor(
         jobs=jobs,
         backoff_base_s=0.01,
         backoff_cap_s=0.05,
-        telemetry=telemetry,
+        on_event=on_event,
         fault_plan=plan,
     )
 
@@ -138,19 +146,19 @@ class TestParseChaosSpec:
 
 class TestSerialChaos:
     def test_raise_fault_recovers_through_retries(self):
-        telemetry = Telemetry()
+        events = Events()
         plan = FaultPlan(0, [FaultRule(match="*", kind="raise", p=1.0, max_hits=2)])
-        results = _executor(plan=plan, telemetry=telemetry).run(
+        results = _executor(plan=plan, on_event=events).run(
             [TaskSpec(id="t", fn=add, kwargs={"a": 1, "b": 2}, retries=2)]
         )
         assert results["t"].ok
         assert results["t"].value == 3
         assert results["t"].attempts == 3
         assert results["t"].faults == 2
-        kinds = [r["kind"] for r in telemetry.records if r["type"] == "event"]
+        kinds = [r["kind"] for r in events]
         assert kinds.count("fault_injected") == 2
         assert kinds.count("retry") == 2
-        retries = [r for r in telemetry.records if r.get("kind") == "retry"]
+        retries = [r for r in events if r["kind"] == "retry"]
         assert all("InjectedFault" in r["error"] for r in retries)
 
     def test_raise_without_retries_fails_and_skips_dependents(self):
@@ -197,9 +205,9 @@ class TestSerialChaos:
 
     def test_same_seed_reproduces_the_exact_event_sequence(self):
         def run_once():
-            telemetry = Telemetry(clock=lambda: 0.0)
+            events = Events()
             plan = FaultPlan(11, [FaultRule(match="*", kind="raise", p=0.6)])
-            _executor(plan=plan, telemetry=telemetry).run(
+            _executor(plan=plan, on_event=events).run(
                 [
                     TaskSpec(id=f"t{i}", fn=add, kwargs={"a": i, "b": i}, retries=3)
                     for i in range(4)
@@ -207,8 +215,8 @@ class TestSerialChaos:
             )
             return [
                 (r["task"], r["attempt"], r["fault"])
-                for r in telemetry.records
-                if r.get("kind") == "fault_injected"
+                for r in events
+                if r["kind"] == "fault_injected"
             ]
 
         first, second = run_once(), run_once()
@@ -228,13 +236,13 @@ class TestPoolChaos:
             assert results[f"t{i}"].attempts == 2
 
     def test_exit_fault_breaks_pool_and_batch_still_completes(self):
-        telemetry = Telemetry()
+        events = Events()
         plan = FaultPlan(
             0, [FaultRule(match="die", kind="exit", p=1.0, max_hits=1, exit_code=70)]
         )
         # Bystanders get a retry budget too: an attempt in flight when a
         # sibling kills the worker pool dies with it and is charged.
-        results = _executor(jobs=2, plan=plan, telemetry=telemetry).run(
+        results = _executor(jobs=2, plan=plan, on_event=events).run(
             [
                 TaskSpec(id="die", fn=add, kwargs={"a": 1, "b": 1}, retries=1),
                 TaskSpec(id="ok1", fn=add, kwargs={"a": 2, "b": 2}, retries=1),
@@ -245,7 +253,7 @@ class TestPoolChaos:
         assert results["die"].attempts == 2
         assert results["ok1"].value == 4
         assert results["ok2"].value == 6
-        rebuilds = [r for r in telemetry.records if r.get("kind") == "pool_rebuild"]
+        rebuilds = [r for r in events if r["kind"] == "pool_rebuild"]
         assert rebuilds and rebuilds[0]["reason"] == "broken"
 
     def test_exit_fault_without_retries_reports_failure(self):
@@ -279,18 +287,46 @@ class TestPoolChaos:
         ]
 
         def injected(jobs):
-            telemetry = Telemetry()
+            events = Events()
             plan = FaultPlan(11, [FaultRule(match="*", kind="raise", p=0.6)])
-            _executor(jobs=jobs, plan=plan, telemetry=telemetry).run(tasks())
+            _executor(jobs=jobs, plan=plan, on_event=events).run(tasks())
             return {
                 (r["task"], r["attempt"], r["fault"])
-                for r in telemetry.records
-                if r.get("kind") == "fault_injected"
+                for r in events
+                if r["kind"] == "fault_injected"
             }
 
         serial, pooled = injected(1), injected(2)
         assert serial, "seed 11 injected nothing; test is vacuous"
         assert serial == pooled
+
+
+class TestRunnerChaosTrace:
+    def test_trace_file_records_fault_and_retry_events(self, tmp_path, capsys):
+        # The CI chaos smoke run's --trace FILE: the executor's events
+        # reach it next to the task summary and the run metrics.
+        path = tmp_path / "trace-chaos.jsonl"
+        code = main(
+            [
+                "figure2",
+                "--quick",
+                "--cache-dir",
+                str(tmp_path / "cache"),
+                "--retries",
+                "1",
+                "--chaos",
+                "7:match=*,kind=raise,p=1,max_hits=1",
+                "--trace",
+                str(path),
+            ]
+        )
+        assert code == EXIT_OK
+        trace = read_trace(path)
+        assert [e["kind"] for e in trace.events] == ["fault_injected", "retry"]
+        assert trace.events[0]["task"] == "figure2" and trace.events[0]["fault"] == "raise"
+        assert "InjectedFault" in trace.events[1]["error"]
+        assert [s["name"] for s in trace.spans] == ["task:figure2"]
+        assert trace.task_spans["figure2"]["retries"] == 1
 
 
 class TestFilesystemChaos:

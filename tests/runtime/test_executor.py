@@ -6,11 +6,12 @@ across processes.
 """
 
 import os
+import random
 import time
 
 import pytest
 
-from repro.runtime import DagExecutor, TaskSpec, TaskStatus, Telemetry, toposort
+from repro.runtime import DagExecutor, TaskSpec, TaskStatus, backoff_delay, toposort
 
 
 def add(a, b):
@@ -128,14 +129,18 @@ class TestSerialMode:
 
     def test_retries_exhausted_reports_failure(self, tmp_path):
         counter = str(tmp_path / "count")
-        telemetry = Telemetry()
-        executor = DagExecutor(jobs=1, backoff_base_s=0.01, telemetry=telemetry)
+        events = []
+        executor = DagExecutor(
+            jobs=1,
+            backoff_base_s=0.01,
+            on_event=lambda kind, **fields: events.append({"kind": kind, **fields}),
+        )
         results = executor.run(
             [TaskSpec(id="flaky", fn=flaky, kwargs={"counter_path": counter, "fail_times": 5}, retries=1)]
         )
         assert results["flaky"].status is TaskStatus.FAILED
         assert results["flaky"].attempts == 2
-        retry_events = [r for r in telemetry.records if r.get("kind") == "retry"]
+        retry_events = [r for r in events if r["kind"] == "retry"]
         assert len(retry_events) == 1
 
     def test_inline_timeout_detected_post_hoc(self):
@@ -146,10 +151,11 @@ class TestSerialMode:
         assert results["slow"].value is None
 
     def test_backoff_is_deterministic(self):
-        ex = _executor()
-        task = TaskSpec(id="t", fn=add)
-        assert ex._backoff_delay(task, 1) == ex._backoff_delay(task, 1)
-        assert ex._backoff_delay(task, 1) != ex._backoff_delay(task, 2)
+        assert backoff_delay("t", 1, 0.25, 8.0) == backoff_delay("t", 1, 0.25, 8.0)
+        assert backoff_delay("t", 1, 0.25, 8.0) != backoff_delay("t", 2, 0.25, 8.0)
+        # Exponential in the attempt, capped, jittered by an (id, attempt) seed.
+        assert backoff_delay("t", 3, 0.25, 8.0) == 1.0 * random.Random("t:3").uniform(0.5, 1.5)
+        assert backoff_delay("t", 9, 0.25, 8.0) == 8.0 * random.Random("t:9").uniform(0.5, 1.5)
 
 
 class TestProcessPoolMode:

@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import os
 
 import pytest
 
@@ -97,6 +98,39 @@ class TestReplay:
         )
         store = JobStore(str(tmp_path))
         assert [r["id"] for r in store.jobs()] == ["ok"]
+
+
+class TestJournal:
+    def test_flush_is_one_fsync_per_batch(self, tmp_path, monkeypatch):
+        store = JobStore(str(tmp_path))
+        fsyncs = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real(fd)))
+        for i in range(3):
+            store.create_deferred(f"j{i}", key=f"k{i}")
+        store.flush()
+        assert len(fsyncs) == 1
+        lines = (tmp_path / JOBS_JOURNAL_NAME).read_text().splitlines()
+        assert [json.loads(line)["id"] for line in lines] == ["j0", "j1", "j2"]
+        assert all(line == json.dumps(json.loads(line), sort_keys=True) for line in lines)
+
+    def test_poison_counts_replay_last_wins(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        assert store.record_key_failure("k1") == 1
+        assert store.record_key_failure("k1") == 2
+        assert store.record_key_failure("k2") == 1
+        store.pardon_key("k2")
+        reborn = JobStore(str(tmp_path))
+        assert reborn.poison_count("k1") == 2
+        assert reborn.poison_count("k2") == 0
+
+    def test_reopen_repairs_a_torn_tail_before_appending(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        store.create("j1")
+        with open(tmp_path / JOBS_JOURNAL_NAME, "a", encoding="utf-8") as fh:
+            fh.write('{"type": "job", "id": "j2", "sta')  # SIGKILL here
+        JobStore(str(tmp_path)).create("j3")
+        assert [r["id"] for r in JobStore(str(tmp_path)).jobs()] == ["j1", "j3"]
 
 
 class TestUploads:
