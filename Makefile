@@ -49,13 +49,14 @@ service-chaos:
 	PYTHONPATH=src $(PYTHON) -m repro.service.drill --state-dir results/service-chaos
 
 # Failure drills: fault injection, kill-and-resume, cache contention,
-# and the crash-safe append log (torn-tail repair, tolerant replay)
-# under the run journal, job store and trace.  pytest-timeout (when
-# installed) backstops a hang in the drills themselves; the suite
-# passes without it.
+# the supervised attempt under --jobs N and the service (kill, reap,
+# parent-death tether), and the crash-safe append log (torn-tail
+# repair, tolerant replay) under the run journal, job store and trace.
+# pytest-timeout (when installed) backstops a hang in the drills
+# themselves; the suite passes without it.
 CHAOS_TESTS = tests/runtime/test_chaos.py tests/runtime/test_journal.py \
 	tests/runtime/test_cache_hardening.py tests/experiments/test_resume.py \
-	tests/util/test_appendlog.py
+	tests/util/test_appendlog.py tests/runtime/test_supervise.py
 
 chaos:
 	@if $(PYTHON) -c "import pytest_timeout" 2>/dev/null; then \

@@ -8,7 +8,7 @@ whether it accepts a master seed and what its quick-mode overrides are
 :func:`validate_registry` cross-checks every declaration against the
 run function's real signature.
 
-:func:`execute_experiment` is the process-pool entry point: it runs one
+:func:`execute_experiment` is the worker-side entry point: it runs one
 experiment and flattens the result into a plain-JSON *payload* (rendered
 report, claim tuples, CSV/SVG artifacts) — the unit both the runtime
 cache stores and the parallel executor ships across process boundaries,

@@ -232,6 +232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if args.timeout is not None and args.timeout <= 0:
+        parser.error("--timeout must be > 0")
 
     fault_plan = None
     if args.chaos:

@@ -257,11 +257,12 @@ class NondeterministicCallRule(Rule):
 class CacheSafetyRule(Rule):
     """REP004: cache-unsafe callables or kwargs handed to the runtime.
 
-    The runtime fingerprints tasks into cache keys and ships them to a
-    process pool, which requires ``fn`` to be an importable module-level
-    function and ``kwargs`` to be JSON-serializable.  Lambdas, computed
-    callables and closures pickle unreliably (or not at all) and have no
-    stable source identity for the fingerprint; non-JSON kwargs fall
+    The runtime fingerprints tasks into cache keys and runs them in
+    worker processes, which requires ``fn`` to be an importable
+    module-level function and ``kwargs`` to be JSON-serializable.
+    Lambdas, computed callables and closures pickle unreliably (or not
+    at all), which a ``spawn`` or ``forkserver`` worker needs, and have
+    no stable source identity for the fingerprint; non-JSON kwargs fall
     back to ``repr`` in the cache key, where memory addresses leak in
     and split or alias cache entries.
     """
@@ -270,7 +271,7 @@ class CacheSafetyRule(Rule):
     name = "cache-safety"
     severity = Severity.ERROR
     node_types = (ast.Call,)
-    rationale = "The result cache and process pool need module-level fns and JSON kwargs."
+    rationale = "The result cache and worker processes need module-level fns and JSON kwargs."
 
     _TASK_SPEC_NAMES: FrozenSet[str] = frozenset(
         {"repro.runtime.TaskSpec", "repro.runtime.task.TaskSpec"}
@@ -299,7 +300,7 @@ class CacheSafetyRule(Rule):
             ctx.report(
                 fn,
                 self,
-                "TaskSpec fn is a lambda: it cannot be pickled to the process pool or "
+                "TaskSpec fn is a lambda: it cannot be pickled to a worker process or "
                 "named in the cache key; use a module-level function",
             )
         elif isinstance(fn, ast.Call):
@@ -315,7 +316,7 @@ class CacheSafetyRule(Rule):
                 fn,
                 self,
                 f"TaskSpec fn {fn.id!r} is defined inside a function: closures cannot "
-                "cross the process-pool pickle boundary; move it to module level",
+                "be pickled to a worker process; move it to module level",
             )
 
     def _check_kwargs(self, ctx: "ModuleContext", value: ast.expr) -> None:

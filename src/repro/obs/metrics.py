@@ -1,7 +1,7 @@
 """Run metrics: counters, gauges and histograms with Prometheus export.
 
 A :class:`MetricsRegistry` aggregates what one run did — cache hits,
-retries, pool rebuilds, per-task wall-time distribution, peak RSS —
+retries, timeouts, per-task wall-time distribution, peak RSS —
 and serializes to:
 
 * ``metrics.json`` (:meth:`MetricsRegistry.to_json`), written into every

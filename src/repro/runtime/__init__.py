@@ -4,9 +4,13 @@ The runtime layer is what lets ``python -m repro.experiments`` scale
 past a serial for-loop while staying byte-for-byte reproducible:
 
 * :mod:`repro.runtime.task` / :mod:`repro.runtime.executor` — tasks as
-  a dependency DAG over a ``ProcessPoolExecutor``, with per-task
-  timeouts, bounded jittered retries and graceful degradation (a failed
-  experiment is reported, the rest of the batch completes);
+  a dependency DAG, run inline or one supervised worker process per
+  attempt, with per-task timeouts, bounded jittered retries and
+  graceful degradation (a failed experiment is reported, the rest of
+  the batch completes);
+* :mod:`repro.runtime.supervise` — the supervised-attempt primitive
+  (spawn, watch, kill, reap) under both the executor and the service's
+  job supervisor;
 * :mod:`repro.runtime.cache` / :mod:`repro.runtime.fingerprint` — a
   content-addressed result cache keyed on ``(experiment id, kwargs,
   code fingerprint)``, checksummed on read, with advisory per-key locks

@@ -3,8 +3,9 @@
 :class:`DagExecutor` runs a set of :class:`~repro.runtime.task.TaskSpec`
 objects respecting their dependency edges.  With ``jobs == 1`` tasks run
 inline in the current process (no pickling, no subprocess overhead —
-the mode the serial CLI default uses); with ``jobs >= 2`` tasks fan out
-over a :class:`concurrent.futures.ProcessPoolExecutor`.
+the mode the serial CLI default uses); with ``jobs >= 2`` each attempt
+runs in its own child process under
+:func:`~repro.runtime.supervise.supervise`, at most ``jobs`` at a time.
 
 Failure semantics (both modes):
 
@@ -14,31 +15,30 @@ Failure semantics (both modes):
   of the batch still completes (graceful degradation);
 * tasks downstream of a failure are reported ``skipped``;
 * a task attempt exceeding ``task.timeout`` seconds is a ``timeout``.
-  In process mode the worker is killed and the pool rebuilt (in-flight
-  survivors are resubmitted without consuming a retry); inline mode
+  In parallel mode its worker is SIGKILLed at the deadline; inline mode
   cannot preempt, so the attempt is detected as late *after* it returns
   and its value is discarded;
-* a worker process that *dies* (segfault, ``os._exit``, OOM kill)
-  breaks the pool: the attempts lost with it are charged a retry, the
-  pool is rebuilt (a ``pool_rebuild`` event records why) and the batch
-  continues.
+* a worker process that *dies* (segfault, ``os._exit``, OOM kill) fails
+  its own attempt (``worker process died (exit code N)``), which is
+  retried like any other failure.
 
-Failed attempts report the wall time measured *inside* the worker, not
-time-in-queue — an attempt that raised after 0.2s on a saturated pool
-is billed 0.2s, no matter how long it waited for a worker slot.
+Attempts are isolated from one another: a sibling's crash or timeout
+never charges, kills or restarts an innocent attempt.  Failed attempts
+report the wall time measured inside the worker.
 
 Chaos hooks: pass ``fault_plan`` (a
 :class:`~repro.runtime.faults.FaultPlan`) and the executor consults it
 once per (task, attempt) at submission time, wrapping the task function
 with the armed fault and emitting a ``fault_injected`` event.
-Decisions are a pure function of the plan seed, so serial and pool runs
-inject identically.
+Decisions are a pure function of the plan seed, so serial and parallel
+runs inject identically.
 
 Hooks: ``on_result`` observes every terminal :class:`TaskResult`
 (including skips) the moment it is recorded — the runner's crash-safe
 journal hangs off it.  ``on_event(kind, **fields)`` observes every
-executor event (``retry``, ``timeout``, ``pool_rebuild``,
-``fault_injected``) — the runner streams them into its traces.
+executor event (``retry``, ``timeout``, ``fault_injected``) — the runner
+streams them into its traces.  Both fire on the thread that called
+:meth:`DagExecutor.run`, in either mode.
 
 The executor never raises on task failure; inspect the returned
 ``TaskResult`` map instead.
@@ -46,21 +46,20 @@ The executor never raises on task failure; inspect the returned
 
 from __future__ import annotations
 
+import contextvars
 import random
+import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import FaultPlan
+from repro.runtime.supervise import supervise
 from repro.runtime.task import TaskResult, TaskSpec, TaskStatus, toposort
 
 __all__ = ["DagExecutor", "backoff_delay"]
-
-#: Seconds the event loop waits on in-flight futures per tick.
-_TICK_S = 0.05
 
 
 def backoff_delay(key: str, attempt: int, base_s: float, cap_s: float) -> float:
@@ -89,8 +88,9 @@ def _run_attempt(
 
     Returns ``(True, value, wall, rss)`` on success and
     ``(False, "ExcType: message", wall, rss)`` on failure — errors travel
-    back as values so a failed attempt is billed the wall time it spent
-    *in the function*, not the time its future spent queued.
+    back as values, so a failed attempt is billed the wall time it spent
+    *in the function* and a parallel-mode supervisor can tell an error
+    from a dead worker.
     """
     start = time.perf_counter()
     try:
@@ -99,19 +99,6 @@ def _run_attempt(
         wall = time.perf_counter() - start
         return False, f"{type(exc).__name__}: {exc}", wall, _peak_rss_kb()
     return True, value, time.perf_counter() - start, _peak_rss_kb()
-
-
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down hard, terminating any still-running workers."""
-    procs = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in procs:
-        try:
-            proc.terminate()
-        except Exception:  # pragma: no cover - process already gone
-            pass
-    for proc in procs:
-        proc.join(timeout=2.0)
 
 
 class DagExecutor:
@@ -152,14 +139,13 @@ class DagExecutor:
         self._fault_counts = {}
         if self.jobs == 1:
             return self._run_serial(ordered)
-        return self._run_pool(ordered)
+        return self._run_parallel(ordered)
 
     # -- shared helpers -----------------------------------------------------
 
     #: Event kinds mirrored into metrics counters when a registry is attached.
     _EVENT_COUNTERS = {
         "retry": "retries_total",
-        "pool_rebuild": "pool_rebuilds_total",
         "timeout": "timeouts_total",
         "fault_injected": "faults_injected_total",
     }
@@ -186,8 +172,8 @@ class DagExecutor:
         """The callable for this attempt, fault-wrapped when the plan fires.
 
         Consulted exactly once per (task, attempt), at submission — the
-        decision is order-free, so serial and pool schedules inject the
-        same faults for the same plan seed.
+        decision is order-free, so serial and parallel schedules inject
+        the same faults for the same plan seed.
         """
         if self.fault_plan is None:
             return task.fn
@@ -275,16 +261,20 @@ class DagExecutor:
                 continue
             return TaskResult(id=task.id, status=status, error=error, attempts=attempt, wall_s=wall)
 
-    # -- process-pool mode --------------------------------------------------
+    # -- parallel mode ------------------------------------------------------
 
-    def _run_pool(self, ordered: Sequence[TaskSpec]) -> Dict[str, TaskResult]:
+    def _run_parallel(self, ordered: Sequence[TaskSpec]) -> Dict[str, TaskResult]:
         results: Dict[str, TaskResult] = {}
         children = self._children(ordered)
         pending_deps = {t.id: set(t.deps) for t in ordered}
         # Queue entries are (task, attempt-number-about-to-run).
         ready: deque = deque((t, 1) for t in ordered if not t.deps)
         sleeping: List[Tuple[float, TaskSpec, int]] = []
-        in_flight: Dict[Any, Tuple[TaskSpec, int, float, Optional[float]]] = {}
+        in_flight: Dict[Future, Tuple[TaskSpec, int]] = {}
+        aborted = threading.Event()
+
+        def stop() -> Optional[str]:
+            return "executor aborted" if aborted.is_set() else None
 
         def finish(task: TaskSpec, result: TaskResult) -> None:
             results[task.id] = result
@@ -305,7 +295,9 @@ class DagExecutor:
             else:
                 finish(task, TaskResult(id=task.id, status=status, error=error, attempts=attempt, wall_s=wall))
 
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        # Supervisor threads only watch their attempt's child process;
+        # arming, events, hooks and retries all stay on this thread.
+        pool = ThreadPoolExecutor(max_workers=self.jobs, thread_name_prefix="repro-attempt")
         try:
             while ready or sleeping or in_flight:
                 now = time.monotonic()
@@ -317,42 +309,31 @@ class DagExecutor:
                 while ready and len(in_flight) < self.jobs:
                     task, attempt = ready.popleft()
                     fn = self._arm(task, attempt)
-                    future = pool.submit(_run_attempt, fn, dict(task.kwargs))
-                    deadline = now + task.timeout if task.timeout is not None else None
-                    in_flight[future] = (task, attempt, now, deadline)
+                    # The child inherits this thread's context (the
+                    # ambient tracer), as an inline attempt would.
+                    future = pool.submit(
+                        contextvars.copy_context().run,
+                        supervise,
+                        _run_attempt,
+                        (fn, dict(task.kwargs)),
+                        deadline_s=task.timeout,
+                        stop=stop,
+                    )
+                    in_flight[future] = (task, attempt)
 
+                wake = min((entry[0] for entry in sleeping), default=None)
                 if not in_flight:
-                    if sleeping:  # idle until the earliest backoff expires
-                        self._sleep(max(0.0, min(e[0] for e in sleeping) - time.monotonic()))
+                    if wake is not None:  # idle until the earliest backoff expires
+                        self._sleep(max(0.0, wake - time.monotonic()))
                     continue
 
-                done, _ = wait(list(in_flight), timeout=_TICK_S, return_when=FIRST_COMPLETED)
-                broken = False
+                timeout = None if wake is None else max(0.0, wake - time.monotonic())
+                done, _ = wait(list(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
                 for future in done:
-                    task, attempt, started, _deadline = in_flight.pop(future)
-                    try:
-                        ok, value, wall, rss = future.result()
-                    except BrokenProcessPool:
-                        # The worker running (or queued to run) this attempt
-                        # died mid-flight; the attempt is charged, the pool is
-                        # rebuilt below.
-                        broken = True
-                        fail_or_retry(
-                            task,
-                            attempt,
-                            TaskStatus.FAILED,
-                            "worker process died (broken pool)",
-                            time.monotonic() - started,
-                        )
-                    except Exception as exc:  # pragma: no cover - pickling etc.
-                        fail_or_retry(
-                            task,
-                            attempt,
-                            TaskStatus.FAILED,
-                            f"{type(exc).__name__}: {exc}",
-                            time.monotonic() - started,
-                        )
-                    else:
+                    task, attempt = in_flight.pop(future)
+                    outcome = future.result()
+                    if outcome.kind == "ok":
+                        ok, value, wall, rss = outcome.value
                         if ok:
                             finish(
                                 task,
@@ -366,42 +347,25 @@ class DagExecutor:
                                 ),
                             )
                         else:
-                            # Worker-side wall time: queue wait is not billed.
                             fail_or_retry(task, attempt, TaskStatus.FAILED, value, wall)
-
-                if broken:
-                    survivors = list(in_flight.values())
-                    in_flight.clear()
-                    _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    self._event("pool_rebuild", reason="broken", resubmitted=len(survivors))
-                    for task, attempt, _started, _dl in survivors:
-                        ready.appendleft((task, attempt))
-                    continue
-
-                now = time.monotonic()
-                expired = [f for f, (_t, _a, _s, dl) in in_flight.items() if dl is not None and now > dl]
-                if expired:
-                    victims = [in_flight[f] for f in expired]
-                    survivors = [v for f, v in in_flight.items() if f not in expired]
-                    in_flight.clear()
-                    # A running future cannot be cancelled: kill the workers
-                    # and rebuild the pool, resubmitting innocent bystanders
-                    # without charging their retry budget.
-                    _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=self.jobs)
-                    self._event("pool_rebuild", reason="timeout", resubmitted=len(survivors))
-                    for task, attempt, _started, _dl in survivors:
-                        ready.appendleft((task, attempt))
-                    for task, attempt, started, _dl in victims:
+                    elif outcome.kind == "timeout":
                         self._event("timeout", task=task.id, attempt=attempt, timeout_s=task.timeout)
                         fail_or_retry(
                             task,
                             attempt,
                             TaskStatus.TIMEOUT,
                             f"attempt exceeded {task.timeout}s",
-                            now - started,
+                            outcome.elapsed_s,
+                        )
+                    else:  # died
+                        fail_or_retry(
+                            task,
+                            attempt,
+                            TaskStatus.FAILED,
+                            f"worker process died (exit code {outcome.exitcode})",
+                            outcome.elapsed_s,
                         )
         finally:
-            _kill_pool(pool)
+            aborted.set()  # a raising hook must not leave workers running
+            pool.shutdown(wait=True)
         return results

@@ -16,19 +16,20 @@ Fault kinds and what they exercise:
     path exactly like an experiment bug would.
 ``hang``
     The attempt sleeps ``hang_s`` seconds before running the real
-    function — exercises the timeout machinery: worker kill + pool
-    rebuild in process mode, post-hoc detection in inline mode.
+    function — exercises the timeout machinery: a SIGKILL of that
+    attempt's worker at the deadline in parallel mode, post-hoc
+    detection in inline mode.
 ``corrupt``
     The attempt "succeeds" but returns deterministic garbage instead of
     running the real function — models silent output corruption; the
     caller's payload validation (not the executor) must catch it.
 ``exit``
-    The attempt calls ``os._exit(exit_code)``.  In process-pool mode
-    this kills the worker (the executor absorbs the resulting
-    ``BrokenProcessPool`` and rebuilds); in inline mode it kills the
-    *whole run*, which is precisely the crash that ``--resume``
-    recovers from.  Never inject ``exit`` into an in-process test run
-    unless that run is a subprocess.
+    The attempt calls ``os._exit(exit_code)``.  In parallel mode this
+    kills that attempt's worker, which the executor charges to the
+    attempt alone (``worker process died (exit code N)``); in inline
+    mode it kills the *whole run*, which is precisely the crash that
+    ``--resume`` recovers from.  Never inject ``exit`` into an
+    in-process test run unless that run is a subprocess.
 
 The module also ships filesystem chaos helpers (:func:`truncate_file`,
 :func:`corrupt_file`, :func:`vanish_file`) used by the chaos suite to
@@ -171,7 +172,7 @@ class FaultPlan:
 
     The executor calls :meth:`arm` once per (task, attempt) at
     submission time; the decision never depends on scheduling order, so
-    serial and pool runs with the same seed inject the same faults.
+    serial and parallel runs with the same seed inject the same faults.
     """
 
     def __init__(self, seed: int, rules: Sequence[FaultRule] = ()) -> None:

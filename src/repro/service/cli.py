@@ -99,7 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.job_timeout_s is not None and args.job_timeout_s <= 0:
+        parser.error("--job-timeout-s must be > 0")
     app = ServiceApp(
         args.state_dir,
         cache_dir=args.cache_dir,

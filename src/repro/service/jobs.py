@@ -7,13 +7,14 @@ Each accepted submission becomes one journaled job record
 1. marks the job ``running`` and opens the job span (parented to the
    submitting request's span, so the trace nests request → job →
    worker spans),
-2. spawns the attempt in a dedicated **worker subprocess**
-   (:mod:`repro.service.worker`) and watches it: every tick it checks
-   the result pipe, the job's cancel flag and the ``job_timeout_s``
-   deadline,
-3. on deadline or client cancellation SIGKILLs the worker and reaps it
-   — timeouts are *hard*: the slot frees immediately, no thread is left
-   wedged behind a hung compute,
+2. runs the attempt in a dedicated **worker subprocess**
+   (:mod:`repro.service.worker`) under the runtime's supervised-attempt
+   primitive (:func:`repro.runtime.supervise.supervise`): every tick it
+   checks the result pipe, the job's cancel flag, the drain and the
+   ``job_timeout_s`` deadline,
+3. on deadline, client cancellation or an abandoned drain the worker is
+   SIGKILLed and reaped within a tick — timeouts are *hard*: the slot
+   frees immediately, no thread is left wedged behind a hung compute,
 4. retries transient failures (worker crash, injected fault, I/O
    contention) with the runtime's jittered exponential backoff
    (:func:`repro.runtime.executor.backoff_delay`), charging worker
@@ -36,13 +37,13 @@ Chaos: with a :class:`~repro.runtime.faults.FaultPlan` (the server's
 ``--chaos 7`` replays under ``--chaos 7`` across restarts, and rules
 glob per analysis kind (``hurst*=exit``).  ``raise``, ``exit`` and
 ``hang`` land in the worker (a transient failure, a worker crash, a
-straggler for the watchdog); ``corrupt`` is supervisor-side: it tears
+straggler for the deadline); ``corrupt`` is supervisor-side: it tears
 the jobs journal (:func:`repro.util.appendlog.tear`) and runs the
 attempt clean.
 
 Concurrency discipline: ``_state`` (a Condition) guards the slot count,
 per-job controls and lifecycle flags and is never held across I/O —
-journal writes, pipe reads and process reaping all happen outside it.
+journal writes and worker supervision all happen outside it.
 The store's own two-lock protocol (see :mod:`repro.service.store`)
 covers durability.
 """
@@ -50,7 +51,6 @@ covers durability.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import threading
 import time
@@ -62,6 +62,7 @@ from repro.obs import clock as obs_clock
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import backoff_delay
 from repro.runtime.faults import FaultPlan
+from repro.runtime.supervise import supervise
 from repro.service.errors import ServiceError
 from repro.service.store import TERMINAL_STATES, JobStore
 from repro.service.worker import job_worker_main
@@ -76,12 +77,6 @@ RUNS_DIR_NAME = "runs"
 #: Histogram buckets for job wall time (seconds).
 _JOB_BUCKETS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
 
-#: Seconds the watchdog waits per tick on the worker's result pipe.
-_TICK_S = 0.05
-
-#: Seconds to wait for a killed worker to be reaped before re-killing.
-_REAP_S = 5.0
-
 
 class _JobControl:
     """Per-job supervision handle shared by API threads and the supervisor.
@@ -93,12 +88,11 @@ class _JobControl:
     anywhere).
     """
 
-    __slots__ = ("cancel", "claimed", "proc")
+    __slots__ = ("cancel", "claimed")
 
     def __init__(self) -> None:
         self.cancel = threading.Event()
         self.claimed = False
-        self.proc: Optional[multiprocessing.process.BaseProcess] = None
 
 
 class JobRunner:
@@ -131,6 +125,8 @@ class JobRunner:
             raise ValueError(f"job_retries must be >= 0, got {job_retries}")
         if poison_threshold < 1:
             raise ValueError(f"poison_threshold must be >= 1, got {poison_threshold}")
+        if job_timeout_s is not None and job_timeout_s <= 0:
+            raise ValueError(f"job_timeout_s must be > 0, got {job_timeout_s}")
         self.store = store
         self.metrics = metrics
         self.writer = writer
@@ -156,7 +152,6 @@ class JobRunner:
         self._controls: Dict[str, _JobControl] = {}
         self._closed = False
         self._abandoned = False
-        self._mp = multiprocessing.get_context()
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-service"
         )
@@ -265,9 +260,9 @@ class JobRunner:
         """Client-initiated cancellation: ``DELETE /v1/analyses/{id}``.
 
         A queued job is cancelled on the spot (its slot frees
-        immediately); a running one has its worker SIGKILLed and the
-        supervisor writes the ``cancelled`` terminal state within a
-        watchdog tick.  Terminal jobs refuse with ``not_cancellable``.
+        immediately); a running one has its worker SIGKILLed by its
+        supervisor, which writes the ``cancelled`` terminal state within
+        a tick.  Terminal jobs refuse with ``not_cancellable``.
         """
         record = self.store.get(job_id)
         if record is None:
@@ -281,7 +276,6 @@ class JobRunner:
                 status=status,
             )
         finish_now = False
-        kill_proc = None
         with self._state:
             control = self._controls.get(job_id)
             if control is None:
@@ -293,10 +287,6 @@ class JobRunner:
                 if not control.claimed:
                     control.claimed = True  # supervisor pickup becomes a no-op
                     finish_now = True
-                else:
-                    kill_proc = control.proc
-        if kill_proc is not None:
-            _kill(kill_proc)
         if finish_now:
             record = self.store.update(
                 job_id,
@@ -347,10 +337,10 @@ class JobRunner:
         """Stop accepting work and wait for live jobs, bounded by *timeout_s*.
 
         Returns the ids of jobs still unfinished when the bound expired.
-        Those jobs' workers are SIGKILLed and their records set back to
-        ``queued`` (``drain_requeued``) — the next boot re-runs them
-        *without* a poison charge, since the interruption was ours, not
-        theirs.
+        Their supervisors SIGKILL those jobs' workers within a tick and
+        set their records back to ``queued`` (``drain_requeued``) — the
+        next boot re-runs them *without* a poison charge, since the
+        interruption was ours, not theirs.
         """
         with self._state:
             self._closed = True
@@ -365,11 +355,8 @@ class JobRunner:
                     break
                 self._state.wait(timeout=0.2 if remaining is None else min(0.2, remaining))
             pending = list(self._controls.keys())
-            procs = [c.proc for c in self._controls.values() if c.proc is not None]
             if pending:
                 self._abandoned = True
-        for proc in procs:
-            _kill(proc)
         self._pool.shutdown(wait=True)
         return pending
 
@@ -408,7 +395,13 @@ class JobRunner:
             self._release(job_id)
 
     def _supervise(self, job_id: str, record: Dict[str, Any], control: _JobControl, handle, t0: float) -> None:
-        """The attempt loop: spawn, watch, classify, retry or finish."""
+        """The attempt loop: arm, supervise, classify, retry or finish."""
+
+        def stop() -> Optional[str]:
+            if control.cancel.is_set():
+                return "cancelled"
+            return "abandoned" if self._abandoned else None
+
         attempt = 0
         while True:
             attempt += 1
@@ -426,19 +419,18 @@ class JobRunner:
                 self.metrics.inc("chaos_journal_tears_total")
                 event("chaos_journal_torn", job=job_id, attempt=attempt)
                 fault = None
-            outcome = self._attempt(job_id, record, control, attempt, fault, handle)
-            kind = outcome["kind"]
-            if kind == "done":
-                self._finish_done(job_id, record, t0, attempt, outcome, handle)
+            outcome = supervise(
+                job_worker_main,
+                (self._envelope(record, handle), fault),
+                deadline_s=self.job_timeout_s,
+                stop=stop,
+            )
+            report = outcome.value if outcome.kind == "ok" else {}
+            if report.get("ok"):
+                self._finish_done(job_id, record, t0, attempt, report, handle)
                 return
-            if kind == "cancelled":
-                self._finish_cancelled(job_id, t0, attempt)
-                return
-            if kind == "abandoned":
-                # Drain gave up on us: hand the job to the next boot.
-                self.store.update(job_id, status="queued", drain_requeued=True)
-                return
-            if kind == "timeout":
+            if outcome.kind == "timeout":
+                event("job_timeout_kill", job=job_id, attempt=attempt, timeout_s=self.job_timeout_s)
                 self.metrics.inc("job_timeouts_total")
                 self._finish_error(
                     job_id,
@@ -447,30 +439,39 @@ class JobRunner:
                     code="timeout",
                     message=f"job exceeded its {self.job_timeout_s:.1f}s limit; "
                     "worker killed at the deadline",
-                    elapsed_s=round(outcome["elapsed"], 3),
+                    elapsed_s=round(outcome.elapsed_s, 3),
                     limit_s=self.job_timeout_s,
                 )
                 return
-            # kind == "failed".  A worker we killed ourselves (cancel or
-            # drain) dies with the pipe open and is indistinguishable
-            # from a crash at the pipe — reclassify before charging the
-            # spec's poison counter for our own kill.
-            if control.cancel.is_set():
+            # Our own interruption — a stop, or a failure that raced one —
+            # is never charged to the spec's poison counter.
+            reason = outcome.reason or stop()
+            if reason == "cancelled":
                 self._finish_cancelled(job_id, t0, attempt)
                 return
-            if self._abandoned:
+            if reason == "abandoned":
+                # Drain gave up on us: hand the job to the next boot.
                 self.store.update(job_id, status="queued", drain_requeued=True)
                 return
-            if outcome.get("crashed"):
+            if outcome.kind == "died":
+                report = {
+                    "code": "job_failed",
+                    "message": f"worker process died (exit code {outcome.exitcode})",
+                    "transient": True,
+                }
                 self.metrics.inc("worker_crashes_total")
                 if record.get("key"):
                     count = self.store.record_key_failure(record["key"])
                     if count >= self.poison_threshold:
                         self._finish_poisoned(job_id, t0, attempt, count)
                         return
-            if not outcome.get("transient") or attempt > self.job_retries:
+            if not report.get("transient") or attempt > self.job_retries:
                 self._finish_error(
-                    job_id, t0, attempt, code=outcome["code"], message=outcome["message"]
+                    job_id,
+                    t0,
+                    attempt,
+                    code=report.get("code", "job_failed"),
+                    message=report.get("message", "job failed"),
                 )
                 return
             delay = backoff_delay(job_id, attempt, self.backoff_base_s, self.backoff_cap_s)
@@ -480,117 +481,32 @@ class JobRunner:
                 job=job_id,
                 attempt=attempt,
                 delay_s=round(delay, 4),
-                error=outcome["message"],
+                error=report["message"],
             )
             if control.cancel.wait(delay):
                 self._finish_cancelled(job_id, t0, attempt)
                 return
 
-    def _attempt(
-        self,
-        job_id: str,
-        record: Dict[str, Any],
-        control: _JobControl,
-        attempt: int,
-        fault,
-        handle,
-    ) -> Dict[str, Any]:
-        """Run one attempt in a worker subprocess under the watchdog."""
-        envelope = {
+    def _envelope(self, record: Dict[str, Any], handle) -> Dict[str, Any]:
+        """What one worker attempt needs to know, trace parent included."""
+        return {
             "kind": record["kind"],
             "spec": record["spec"],
             "cache_dir": self.cache_dir,
             "fingerprint": self.fingerprint,
             "uploads_dir": self.store.uploads_dir,
-            "supervisor_pid": os.getpid(),
             "trace": {
                 "path": self.writer.path,
                 "trace_id": self.writer.trace_id,
                 "parent_span_id": handle.span_id,
             },
         }
-        parent_conn, child_conn = self._mp.Pipe(duplex=False)
-        proc = self._mp.Process(
-            target=job_worker_main,
-            args=(child_conn, envelope, fault),
-            daemon=True,
-            name=f"repro-job-{job_id[:8]}",
-        )
-        started = time.monotonic()
-        deadline = None if self.job_timeout_s is None else started + self.job_timeout_s
-        with self._state:
-            control.proc = proc
-        result = None
-        try:
-            proc.start()
-            child_conn.close()
-            while True:
-                try:
-                    if parent_conn.poll(_TICK_S):
-                        result = parent_conn.recv()
-                        break
-                except (EOFError, OSError):
-                    break  # worker died with the pipe open
-                if control.cancel.is_set():
-                    _kill(proc)
-                    return {"kind": "cancelled"}
-                if self._abandoned:
-                    _kill(proc)
-                    return {"kind": "abandoned"}
-                now = time.monotonic()
-                if deadline is not None and now > deadline:
-                    # The hard deadline: SIGKILL, reap (in finally), and
-                    # free the slot for the next job.
-                    _kill(proc)
-                    event(
-                        "job_timeout_kill",
-                        job=job_id,
-                        attempt=attempt,
-                        timeout_s=self.job_timeout_s,
-                    )
-                    return {"kind": "timeout", "elapsed": now - started}
-                if not proc.is_alive():
-                    # Dead without a pipe message in this tick: drain any
-                    # message it managed to send on the way down.
-                    try:
-                        if parent_conn.poll(0):
-                            result = parent_conn.recv()
-                    except (EOFError, OSError):
-                        pass
-                    break
-        finally:
-            exitcode = _reap(proc)
-            with self._state:
-                control.proc = None
-            parent_conn.close()
-        if result is None:
-            return {
-                "kind": "failed",
-                "transient": True,
-                "crashed": True,
-                "code": "job_failed",
-                "message": f"worker process died (exit code {exitcode})",
-            }
-        if result.get("ok"):
-            return {
-                "kind": "done",
-                "hit": bool(result.get("hit")),
-                "key": result.get("key"),
-                "elapsed": time.monotonic() - started,
-            }
-        return {
-            "kind": "failed",
-            "transient": bool(result.get("transient")),
-            "crashed": False,
-            "code": result.get("code", "job_failed"),
-            "message": result.get("message", "job failed"),
-        }
 
     # -- terminal transitions ------------------------------------------------
 
-    def _finish_done(self, job_id, record, t0, attempt, outcome, handle) -> None:
+    def _finish_done(self, job_id, record, t0, attempt, report, handle) -> None:
         elapsed = time.monotonic() - t0
-        hit, key = outcome["hit"], outcome["key"]
+        hit, key = bool(report.get("hit")), report.get("key")
         handle.set(cache_hit=hit)
         payload = self.cache.get(key) if key else None
         run_dir = (
@@ -691,31 +607,3 @@ class JobRunner:
                 os.path.join(self.runs_dir, "LATEST"), os.path.basename(run_dir) + "\n"
             )
         return run_dir
-
-
-def _kill(proc) -> None:
-    """SIGKILL a worker; safe on processes that never started or died."""
-    try:
-        proc.kill()
-    except (ValueError, AttributeError, OSError):  # pragma: no cover - already gone
-        pass
-
-
-def _reap(proc) -> Optional[int]:
-    """Join (and if necessary re-kill) a worker so no zombie outlives us.
-
-    Returns the exit code, read *before* ``close()`` makes the process
-    object unusable.
-    """
-    if proc.pid is None:
-        return None  # never started
-    try:
-        proc.join(timeout=_REAP_S)
-        if proc.is_alive():  # pragma: no cover - kill raced the join
-            proc.kill()
-            proc.join(timeout=_REAP_S)
-        exitcode = proc.exitcode
-        proc.close()
-        return exitcode
-    except (ValueError, OSError):  # pragma: no cover - already reaped
-        return None

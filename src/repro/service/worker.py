@@ -1,40 +1,39 @@
 """The job worker: one subprocess per job attempt.
 
-The supervisor (:mod:`repro.service.jobs`) spawns
-:func:`job_worker_main` in a fresh process for every attempt and waits
-on the pipe.  Running compute in a subprocess — instead of PR 6's pool
-threads — is what makes every service deadline *hard*: a hung or
-runaway attempt is a process the watchdog can SIGKILL and reap, not a
-thread Python cannot stop.
+The supervisor (:mod:`repro.service.jobs`) runs :func:`job_worker_main`
+for every attempt in a fresh process under
+:func:`repro.runtime.supervise.supervise`, which ties the worker's life
+to the supervisor's, sends its return value up a pipe and SIGKILLs it
+at the deadline, on cancellation or when a drain gives up.  Running
+compute in a subprocess — not a thread — is what makes every service
+deadline *hard*: a hung or runaway attempt is a process the supervisor
+can kill and reap, not a thread Python cannot stop.
 
 The worker:
 
 1. rebuilds a tracer against the service's shared ``trace.jsonl``
    (append-per-record, so cross-process appends interleave safely) with
-   the job span as parent — worker spans nest exactly where the thread
-   version's did;
+   the job span as parent — worker spans nest under the job span;
 2. applies any armed chaos fault (crash / hang / raise) via the
    runtime's shared :func:`~repro.runtime.faults.apply_armed_fault`;
 3. computes the analysis through the runtime cache
    (:func:`~repro.service.analyses.compute_analysis` publishes the
    payload under its cache key before returning);
-4. reports ``{"ok", "hit", "key"}`` — *not* the payload — through the
-   pipe.  The supervisor re-reads the payload from the cache by key, so
-   the pipe never carries megabytes and a worker killed after publish
-   loses nothing.
+4. returns ``{"ok", "hit", "key"}`` — *not* the payload.  The
+   supervisor re-reads the payload from the cache by key, so the pipe
+   never carries megabytes and a worker killed after publish loses
+   nothing.
 
-Failures travel as values with a ``transient`` flag: spec-shaped
+Failures are returned as values with a ``transient`` flag: spec-shaped
 failures (a :class:`~repro.service.errors.ServiceError`) are permanent;
 injected faults and I/O-shaped errors (cache lock contention, a
 vanished upload spool on a flaky filesystem) are transient and worth a
-retry.  A worker that dies without reporting at all is the third case —
-the supervisor sees the empty pipe and charges the poison counter.
+retry.  A worker that dies without returning at all is the third case —
+the supervisor sees it die and charges the poison counter.
 """
 
 from __future__ import annotations
 
-import os
-from multiprocessing.connection import Connection
 from typing import Any, Dict, Optional
 
 from repro.obs import Tracer, TraceWriter, reset_tracer, set_tracer
@@ -45,41 +44,8 @@ from repro.service.errors import ServiceError
 __all__ = ["job_worker_main"]
 
 
-def _die_with_parent(supervisor_pid: Optional[int]) -> None:
-    """Tie this worker's life to its supervisor's.
-
-    A SIGKILLed server gets no chance to kill its children, and an
-    orphaned worker would silently keep computing (and publishing to
-    the shared cache) behind the restarted server's back.  On Linux,
-    ``PR_SET_PDEATHSIG`` delivers us SIGKILL the moment the parent
-    dies; the ppid check closes the race where the parent died before
-    the prctl took effect.  Best-effort elsewhere.
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL("libc.so.6", use_errno=True)
-        libc.prctl(1, 9)  # PR_SET_PDEATHSIG = 1, SIGKILL = 9
-    except (OSError, AttributeError):  # non-Linux: no tether, only the check
-        pass
-    if supervisor_pid is not None and os.getppid() != supervisor_pid:
-        os._exit(1)  # parent already gone; don't become an orphan
-
-
-def _report(conn: Connection, message: Dict[str, Any]) -> None:
-    try:
-        conn.send(message)
-    except (BrokenPipeError, OSError):  # supervisor gone; nothing to tell
-        pass
-
-
-def job_worker_main(
-    conn: Connection,
-    envelope: Dict[str, Any],
-    fault: Optional[ArmedFault] = None,
-) -> None:
-    """Run one job attempt and report through *conn* (subprocess target)."""
-    _die_with_parent(envelope.get("supervisor_pid"))
+def job_worker_main(envelope: Dict[str, Any], fault: Optional[ArmedFault] = None) -> Dict[str, Any]:
+    """Run one job attempt and return its report (subprocess target)."""
     trace = envelope.get("trace") or {}
     token = None
     if trace.get("path"):
@@ -93,7 +59,7 @@ def job_worker_main(
     try:
         if fault is not None:
             # ``exit`` never returns; ``raise`` throws; ``hang`` stalls
-            # here — inside the process the watchdog can kill.
+            # here — inside the process the supervisor can kill.
             apply_armed_fault(fault)
         spec = AnalysisSpec(
             kind=envelope["kind"],
@@ -106,40 +72,17 @@ def job_worker_main(
             fingerprint=envelope["fingerprint"],
             uploads_dir=envelope["uploads_dir"],
         )
-        _report(conn, {"ok": True, "hit": hit, "key": key})
+        return {"ok": True, "hit": hit, "key": key}
     except ServiceError as exc:
-        _report(
-            conn,
-            {
-                "ok": False,
-                "code": exc.code,
-                "message": exc.message,
-                "transient": False,
-            },
-        )
+        return {"ok": False, "code": exc.code, "message": exc.message, "transient": False}
     except InjectedFault as exc:
-        _report(conn, {"ok": False, "code": "job_failed", "message": str(exc), "transient": True})
+        return {"ok": False, "code": "job_failed", "message": str(exc), "transient": True}
     except OSError as exc:
-        _report(
-            conn,
-            {
-                "ok": False,
-                "code": "job_failed",
-                "message": f"{type(exc).__name__}: {exc}",
-                "transient": True,
-            },
-        )
-    except BaseException as exc:  # noqa: BLE001 - report, never hang the pipe
-        _report(
-            conn,
-            {
-                "ok": False,
-                "code": "job_failed",
-                "message": f"{type(exc).__name__}: {exc}",
-                "transient": False,
-            },
-        )
+        message = f"{type(exc).__name__}: {exc}"
+        return {"ok": False, "code": "job_failed", "message": message, "transient": True}
+    except BaseException as exc:  # noqa: BLE001 - report, never die silently
+        message = f"{type(exc).__name__}: {exc}"
+        return {"ok": False, "code": "job_failed", "message": message, "transient": False}
     finally:
         if token is not None:
             reset_tracer(token)
-        conn.close()

@@ -28,6 +28,12 @@ class TestRunner:
         with pytest.raises(SystemExit):
             main(["figure2", "--jobs", "0"])
 
+    def test_non_positive_timeout_is_a_usage_error(self, cache_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure2", "--timeout", "0", "--cache-dir", cache_dir])
+        assert exc.value.code == 2
+        assert "--timeout must be > 0" in capsys.readouterr().err
+
     def test_single_quick_run(self, cache_dir, capsys):
         assert main(["figure2", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Chaos suite: deterministic fault injection and the failure paths it drills.
 
-Worker functions live at module level so process-pool mode can pickle
-them.  Every test that injects faults does so through a seeded
+Worker functions live at module level, as ``TaskSpec`` requires.
+Every test that injects faults does so through a seeded
 :class:`FaultPlan`, so the suite itself is replayable — a failure here
 reproduces with the same seed, which is the whole point of the feature.
 """
@@ -28,6 +28,19 @@ from repro.runtime.faults import corrupt_file, truncate_file, vanish_file
 
 def add(a, b):
     return a + b
+
+
+def snooze(seconds):
+    time.sleep(seconds)
+    return "slept"
+
+
+def counted_snooze(counter_path, seconds):
+    """Count this invocation in *counter_path*, then sleep."""
+    with open(counter_path, "a") as fh:
+        fh.write("x")
+    time.sleep(seconds)
+    return "slept"
 
 
 class Events(list):
@@ -235,13 +248,11 @@ class TestPoolChaos:
             assert results[f"t{i}"].value == 2 * i
             assert results[f"t{i}"].attempts == 2
 
-    def test_exit_fault_breaks_pool_and_batch_still_completes(self):
+    def test_exit_fault_charges_only_its_own_attempt(self):
         events = Events()
         plan = FaultPlan(
             0, [FaultRule(match="die", kind="exit", p=1.0, max_hits=1, exit_code=70)]
         )
-        # Bystanders get a retry budget too: an attempt in flight when a
-        # sibling kills the worker pool dies with it and is charged.
         results = _executor(jobs=2, plan=plan, on_event=events).run(
             [
                 TaskSpec(id="die", fn=add, kwargs={"a": 1, "b": 1}, retries=1),
@@ -249,12 +260,43 @@ class TestPoolChaos:
                 TaskSpec(id="ok2", fn=add, kwargs={"a": 3, "b": 3}, retries=1),
             ]
         )
-        assert results["die"].ok, "worker death was not retried after pool rebuild"
+        assert results["die"].ok, "worker death was not retried"
         assert results["die"].attempts == 2
-        assert results["ok1"].value == 4
-        assert results["ok2"].value == 6
-        rebuilds = [r for r in events if r["kind"] == "pool_rebuild"]
-        assert rebuilds and rebuilds[0]["reason"] == "broken"
+        assert (results["ok1"].value, results["ok1"].attempts) == (4, 1)
+        assert (results["ok2"].value, results["ok2"].attempts) == (6, 1)
+        retries = [r for r in events if r["kind"] == "retry"]
+        assert [r["task"] for r in retries] == ["die"]
+        assert retries[0]["error"] == "worker process died (exit code 70)"
+
+    def test_sibling_crash_spares_innocent_without_retries(self):
+        plan = FaultPlan(0, [FaultRule(match="die", kind="exit", p=1.0)])
+        results = _executor(jobs=2, plan=plan).run(
+            [
+                TaskSpec(id="innocent", fn=snooze, kwargs={"seconds": 1.0}),
+                TaskSpec(id="die", fn=add, kwargs={"a": 1, "b": 1}),
+            ]
+        )
+        assert results["die"].status is TaskStatus.FAILED
+        assert results["innocent"].ok, results["innocent"].error
+        assert results["innocent"].attempts == 1
+
+    def test_sibling_timeout_does_not_rerun_innocent(self, tmp_path):
+        counter = tmp_path / "count"
+        start = time.monotonic()
+        results = _executor(jobs=2).run(
+            [
+                TaskSpec(
+                    id="innocent",
+                    fn=counted_snooze,
+                    kwargs={"counter_path": str(counter), "seconds": 1.0},
+                ),
+                TaskSpec(id="hang", fn=snooze, kwargs={"seconds": 30.0}, timeout=0.3),
+            ]
+        )
+        assert results["hang"].status is TaskStatus.TIMEOUT
+        assert results["innocent"].ok
+        assert counter.read_text() == "x", "the innocent task was restarted"
+        assert time.monotonic() - start < 20.0, "hung worker was not killed"
 
     def test_exit_fault_without_retries_reports_failure(self):
         plan = FaultPlan(0, [FaultRule(match="die", kind="exit", p=1.0)])

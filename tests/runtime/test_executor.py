@@ -1,8 +1,8 @@
 """Executor tests: DAG ordering, retries, timeouts, graceful degradation.
 
-The worker functions live at module level so the process-pool mode can
-pickle them; flaky behaviour is injected through a counter file shared
-across processes.
+The worker functions live at module level, as ``TaskSpec`` requires;
+flaky behaviour is injected through a counter file shared across
+processes.
 """
 
 import os
@@ -197,8 +197,8 @@ class TestProcessPoolMode:
         assert elapsed < 20.0, "timed-out worker was not killed"
 
     def test_failed_task_billed_in_function_wall_not_queue_wait(self):
-        # Both workers are pinned by sleepers, so the failing task sits
-        # in the pool queue well past its own runtime.  Its wall_s must
+        # Both workers are pinned by sleepers, so the failing task waits
+        # for a free slot well past its own runtime.  Its wall_s must
         # reflect the ~0.05s it actually ran, not the ~0.5s of waiting.
         results = _executor(jobs=2).run(
             [

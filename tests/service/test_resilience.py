@@ -8,6 +8,9 @@ identity — deterministic per spec, stable across restarts.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -17,6 +20,8 @@ import pytest
 
 from repro.service.app import ServiceApp
 from repro.service.store import JobStore
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 CHEAP_HURST = {
     "kind": "hurst",
@@ -97,6 +102,24 @@ class TestHardTimeout:
         assert body["error"]["elapsed_s"] >= 5.0
         _, metrics, _ = http(f"{svc['base']}/metrics")
         assert read_metric(metrics.decode(), "job_timeouts_total") == 1
+
+    def test_non_positive_timeout_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="job_timeout_s must be > 0"):
+            ServiceApp(str(tmp_path / "state"), job_timeout_s=0)
+
+    def test_cli_rejects_non_positive_timeout_before_booting(self, tmp_path):
+        state_dir = tmp_path / "state"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.service", "--port", "0",
+             "--state-dir", str(state_dir), "--job-timeout-s", "-1"],
+            env=dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src")),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "--job-timeout-s must be > 0" in proc.stderr
+        assert not state_dir.exists()
 
 
 class TestCancellation:
