@@ -3,7 +3,7 @@
 PYTHON ?= python
 JOBS ?= 4
 
-.PHONY: install test lint lint-graph chaos bench obs-bench perf-bench service-smoke service-chaos experiments experiments-quick quick results archive clean
+.PHONY: install test lint lint-graph chaos bench obs-bench perf-bench perfbench service-smoke service-chaos experiments experiments-quick quick results archive clean
 
 install:
 	pip install -e .[test]
@@ -76,9 +76,21 @@ obs-bench:
 # Kernel speedup gate: times the vectorized kernels against their
 # *_reference implementations, writes BENCH_perf.json, and fails when
 # any gated floor is missed (>=5x SWF ingest, >=3x SMACOF, >=10x Lublin
-# generation, >=3x bootstrap stability, >=2x FCFS simulation).
+# generation, >=3x bootstrap stability, >=2x FCFS simulation, >=4x
+# batched subset fits vs a Coplot.fit loop).
 perf-bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/perf_kernels.py
+
+# End-to-end benchmark (perfbench/README.md): one 15 s run of a
+# workload (suite-full, service-hot or service-cold), printing its
+# CPU-time metrics; TRACE=1 adds the per-layer breakdown.  Not a CI
+# gate: wall-clock and CPU figures on shared hosts spread too widely
+# for a fixed bound.
+WORKLOAD ?= suite-full
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace $(TRACE)
 
 experiments:
 	$(PYTHON) -m repro.experiments --jobs $(JOBS) --out results --report results/SCORECARD.md

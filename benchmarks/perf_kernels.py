@@ -2,8 +2,7 @@
 
 Times each rewritten hot kernel against its retained ``*_reference``
 implementation on fixed synthetic inputs and writes the verdict to
-``BENCH_perf.json``.  Five kernels carry hard floors (the tentpole claims
-of the two vectorization PRs):
+``BENCH_perf.json``.  Six kernels carry hard floors:
 
 * SWF ingest (``read_swf`` vs ``read_swf_reference``) on an
   archive-shaped 120k-job log — must be **>= 5x** faster;
@@ -14,7 +13,11 @@ of the two vectorization PRs):
 * bootstrap stability at ``n_boot=20`` on a paper-shaped matrix
   (``engine="batched"`` vs ``"reference"``) — must be **>= 3x** faster;
 * the FCFS simulator loop at 100k jobs (``simulate`` vs
-  ``simulate_reference``) — must be **>= 2x** faster.
+  ``simulate_reference``) — must be **>= 2x** faster;
+* the Section 8 subset search — the ``param`` experiment's 56
+  three-variable subsets at ``n_init=4`` — through ``best_subset`` (one
+  ``Coplot.fit_many`` batch) vs a plain ``Coplot.fit`` loop written
+  here — must be **>= 4x** faster.
 
 The windowed R/S kernel and the bulk SWF renderer are recorded
 informationally (their speedups are real but size-dependent, so they
@@ -49,6 +52,7 @@ TARGETS = {
     "lublin_generate": 10.0,
     "bootstrap_stability": 3.0,
     "simulate_fcfs": 2.0,
+    "subset_fits": 4.0,
 }
 
 SWF_JOBS = 120_000
@@ -58,6 +62,7 @@ LUBLIN_JOBS = 1_000_000
 BOOT_SHAPE = (14, 40)  # observations x variables, the paper's regime
 BOOT_N = 20
 SIM_JOBS = 100_000
+SUBSET_K = 3  # the param experiment's subset size
 
 
 def synthetic_workload(n: int = SWF_JOBS, seed: int = 7):
@@ -224,6 +229,35 @@ def measure_simulate_fcfs(n_jobs: int = SIM_JOBS, *, reps: int = 3) -> Dict[str,
     )
 
 
+def measure_subset_fits(n_candidates: int = 8, *, reps: int = 3) -> Dict[str, float]:
+    """``best_subset`` over the first *n_candidates* of the ``param``
+    experiment's candidates (all 8: 56 subsets) on the Table 1
+    observations, against fitting the same subsets one ``Coplot.fit``
+    at a time."""
+    import itertools
+
+    from repro.coplot.selection import best_subset
+    from repro.experiments.common import default_coplot, production_matrix
+    from repro.experiments.parameterization import CANDIDATE_SIGNS
+
+    signs = list(CANDIDATE_SIGNS[:n_candidates])
+    y, labels = production_matrix(signs)
+    cp = default_coplot(seed=0, n_init=4)
+    combos = [list(c) for c in itertools.combinations(range(len(signs)), SUBSET_K)]
+
+    def fit_loop():
+        return [
+            cp.fit(y[:, cols], labels=labels, signs=[signs[j] for j in cols])
+            for cols in combos
+        ]
+
+    return _measure_pair(
+        lambda: best_subset(y, SUBSET_K, labels=labels, signs=signs, coplot=cp, top=8),
+        fit_loop,
+        reps,
+    )
+
+
 def main(argv=None) -> int:
     sys.path.insert(
         0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -243,6 +277,7 @@ def main(argv=None) -> int:
             "lublin_generate": measure_lublin(20_000, reps=1),
             "bootstrap_stability": measure_bootstrap(4, (10, 12), reps=1),
             "simulate_fcfs": measure_simulate_fcfs(5_000, reps=1),
+            "subset_fits": measure_subset_fits(5, reps=1),
         }
     else:
         results = {
@@ -253,6 +288,7 @@ def main(argv=None) -> int:
             "lublin_generate": measure_lublin(),
             "bootstrap_stability": measure_bootstrap(),
             "simulate_fcfs": measure_simulate_fcfs(),
+            "subset_fits": measure_subset_fits(),
         }
 
     failed = []
@@ -278,6 +314,7 @@ def main(argv=None) -> int:
             "lublin_jobs": LUBLIN_JOBS,
             "bootstrap": {"n_boot": BOOT_N, "shape": list(BOOT_SHAPE)},
             "sim_jobs": SIM_JOBS,
+            "subset_fits": {"candidates": 8, "k": SUBSET_K, "n_init": 4},
             "targets": TARGETS,
             "results": results,
             "ok": not failed,

@@ -3,8 +3,9 @@
 Two layers: pytest-benchmark timings of the fast kernels themselves
 (tracked across runs like every other bench module), and the gated
 speedup assertions — the ≥5× SWF-ingest, ≥3× SMACOF, ≥10× Lublin
-generation, ≥3× bootstrap-stability, and ≥2× FCFS-simulation floors,
-measured against the retained ``*_reference`` implementations exactly
+generation, ≥3× bootstrap-stability, ≥2× FCFS-simulation and ≥4×
+subset-fits floors, measured against the retained ``*_reference``
+implementations (for subset fits, a plain ``Coplot.fit`` loop) exactly
 as ``make perf-bench`` measures them (the traffic-scale kernels at
 reduced sizes so the suite stays fast; ``make perf-bench`` runs the
 full 1M-job / 100k-job workloads).
@@ -20,6 +21,7 @@ from perf_kernels import (
     measure_rs_pox,
     measure_simulate_fcfs,
     measure_smacof,
+    measure_subset_fits,
     measure_swf_ingest,
     simulator_workload,
     synthetic_workload,
@@ -54,6 +56,10 @@ class TestKernelSpeedupFloors:
     def test_simulate_fcfs_speedup_floor(self):
         stats = measure_simulate_fcfs(60_000, reps=1)
         assert stats["speedup"] >= TARGETS["simulate_fcfs"], stats
+
+    def test_subset_fits_speedup_floor(self):
+        stats = measure_subset_fits(reps=1)
+        assert stats["speedup"] >= TARGETS["subset_fits"], stats
 
 
 class TestKernelBench:
@@ -103,6 +109,19 @@ class TestKernelBench:
             lambda: bootstrap_stability(y, n_boot=5, seed=0, engine="batched")
         )
         assert result.positional_spread.shape == (14,)
+
+    def test_bench_subset_fits_batched(self, benchmark):
+        from repro.coplot.selection import best_subset
+        from repro.experiments.common import default_coplot, production_matrix
+        from repro.experiments.parameterization import CANDIDATE_SIGNS
+
+        signs = list(CANDIDATE_SIGNS)
+        y, labels = production_matrix(signs)
+        cp = default_coplot(seed=0, n_init=4)
+        scores = benchmark(
+            lambda: best_subset(y, 3, labels=labels, signs=signs, coplot=cp, top=56)
+        )
+        assert len(scores) <= 56
 
     def test_bench_simulate_fcfs_fast(self, benchmark):
         from repro.scheduler import FcfsScheduler, UnlimitedAllocator, simulate

@@ -19,13 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy import optimize
 
-from repro.coplot.dissimilarity import pairwise_dissimilarity
-from repro.coplot.mds.alienation import coefficient_of_alienation
-from repro.coplot.mds.base import upper_triangle
-from repro.coplot.mds.classical import classical_mds
-from repro.coplot.mds.smacof import _run_batch
 from repro.coplot.model import Coplot, CoplotResult
-from repro.coplot.normalize import normalize_matrix
 from repro.coplot.procrustes import (
     procrustes_align,
     procrustes_align_batch,
@@ -149,61 +143,6 @@ class StabilityReport:
         return [self.labels[i] for i in order[:k]]
 
 
-def _replicate_coords_batched(
-    mat: np.ndarray, cols_per_boot: np.ndarray, cp: Coplot
-) -> np.ndarray:
-    """Best-restart map coordinates for every bootstrap replicate.
-
-    All replicates' MDS restarts advance in lockstep through one
-    per-row-dissimilarity :func:`~repro.coplot.mds.smacof._run_batch`
-    call instead of ``n_boot`` separate :meth:`Coplot.fit` runs; arrow
-    fitting (which stability never reads) is skipped entirely.  Start
-    configurations reproduce :func:`~repro.coplot.mds.smacof.smacof`
-    draw for draw, so each replicate's map is the one the reference
-    engine computes.
-    """
-    n = mat.shape[0]
-    n_boot = cols_per_boot.shape[0]
-    coords = np.zeros((n_boot, n, cp.dim))
-
-    sv_rows = []
-    starts = []
-    live = []
-    for b in range(n_boot):
-        z_b = normalize_matrix(mat[:, cols_per_boot[b]], ddof=cp.ddof)
-        s_b = pairwise_dissimilarity(z_b, metric=cp.metric)
-        sv_b = upper_triangle(s_b)
-        if np.all(sv_b == 0):
-            # Degenerate replicate: smacof would pin everything at the
-            # origin without iterating; its zero coords are already set.
-            continue
-        live.append(b)
-        sv_rows.append(sv_b)
-        starts.append(classical_mds(s_b, dim=cp.dim))
-        rng_b = as_generator(cp.seed)
-        scale = float(sv_b.mean())
-        for _ in range(cp.n_init - 1):
-            starts.append(rng_b.normal(scale=scale, size=(n, cp.dim)))
-    if not live:
-        return coords
-
-    sv_stack = np.repeat(np.stack(sv_rows), cp.n_init, axis=0)
-    all_coords, _, _, _ = _run_batch(
-        sv_stack, n, np.stack(starts), cp.transform, cp.max_iter, cp.tol
-    )
-    for j, b in enumerate(live):
-        best = None
-        best_key = np.inf
-        for r in range(cp.n_init):
-            row = all_coords[j * cp.n_init + r]
-            theta = coefficient_of_alienation(sv_rows[j], row)
-            if theta < best_key:
-                best_key = theta
-                best = row
-        coords[b] = best
-    return coords
-
-
 def bootstrap_stability(
     y,
     *,
@@ -261,10 +200,12 @@ def bootstrap_stability(
             # The column resamples are pre-drawn in the same rng order the
             # reference engine consumes them (Coplot.fit never touches
             # this generator), so both engines see identical replicates.
-            cols_per_boot = np.stack(
-                [rng.integers(0, p, size=p) for _ in range(n_boot)]
-            )
-            boot_coords = _replicate_coords_batched(mat, cols_per_boot, cp)
+            # Every replicate's restarts run as rows of one lockstep
+            # SMACOF batch; arrows, which stability never reads, are
+            # skipped.
+            cols_per_boot = [rng.integers(0, p, size=p) for _ in range(n_boot)]
+            maps = cp._maps([cp._dissimilarity(mat[:, cols])[1] for cols in cols_per_boot])
+            boot_coords = np.stack([m.coords for m in maps])
             aligned = procrustes_align_batch(ref_coords, boot_coords)
             displacements = (
                 np.linalg.norm(aligned - ref_coords[None, :, :], axis=2)

@@ -15,8 +15,9 @@ import numpy as np
 
 from repro.coplot.arrows import Arrow, angle_between, fit_arrows
 from repro.coplot.dissimilarity import pairwise_dissimilarity
-from repro.coplot.mds import MDSResult, smallest_space_analysis
-from repro.coplot.mds.smacof import smacof
+from repro.coplot.mds import MDSResult
+from repro.coplot.mds.base import check_dissimilarity
+from repro.coplot.mds.smacof import _solve_many, smacof
 from repro.coplot.normalize import normalize_matrix
 from repro.util.rng import SeedLike
 from repro.util.validation import check_2d
@@ -246,29 +247,8 @@ class Coplot:
         signs:
             Variable names (default ``v0..``).
         """
-        mat = check_2d(y, "y")
-        n, p = mat.shape
-        if n < 3:
-            raise ValueError(f"Co-plot needs at least 3 observations, got {n}")
-        if p < 1:
-            raise ValueError("Co-plot needs at least 1 variable")
-        if labels is None:
-            labels = [f"obs{i}" for i in range(n)]
-        labels = [str(l) for l in labels]
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for {n} observations")
-        if signs is None:
-            signs = [f"v{j}" for j in range(p)]
-        signs = [str(s) for s in signs]
-        if len(signs) != p:
-            raise ValueError(f"{len(signs)} signs for {p} variables")
-        if len(set(labels)) != n:
-            raise ValueError("observation labels must be unique")
-        if len(set(signs)) != p:
-            raise ValueError("variable signs must be unique")
-
-        z = normalize_matrix(mat, ddof=self.ddof)
-        s = pairwise_dissimilarity(z, metric=self.metric)
+        mat, labels, signs = _check_problem(y, labels, signs)
+        z, s = self._dissimilarity(mat)
         mds = smacof(
             s,
             dim=self.dim,
@@ -279,13 +259,111 @@ class Coplot:
             select_by="alienation",
             seed=self.seed,
         )
-        arrows = fit_arrows(mds.coords, z, signs)
+        return self._result(mat, labels, signs, z, s, mds)
+
+    def fit_many(
+        self,
+        ys: Sequence,
+        *,
+        labels: Optional[Sequence[str]] = None,
+        signs: Optional[Sequence[Optional[Sequence[str]]]] = None,
+    ) -> List[CoplotResult]:
+        """Fit a stack of problems over the same observations at once.
+
+        Entry i of the result is exactly ``self.fit(ys[i], labels=labels,
+        signs=signs[i])``, but every problem's MDS restarts run as rows of
+        one lockstep SMACOF batch — the subset search and the variable
+        bootstraps fit dozens of 10-point maps, where per-call overhead
+        dominates.  Arrows are still fitted per problem.
+
+        Parameters
+        ----------
+        ys:
+            The problems: each n x p_i (the variable count may differ,
+            the observations may not).
+        labels:
+            Observation names shared by every problem.
+        signs:
+            One sign list (or ``None`` for ``v0..``) per problem.
+
+        Every problem is validated before any is fitted.
+        """
+        ys = list(ys)
+        sign_lists = [None] * len(ys) if signs is None else list(signs)
+        if len(sign_lists) != len(ys):
+            raise ValueError(f"{len(sign_lists)} sign lists for {len(ys)} problems")
+        problems = [_check_problem(y, labels, s) for y, s in zip(ys, sign_lists)]
+        sizes = sorted({mat.shape[0] for mat, _, _ in problems})
+        if len(sizes) > 1:
+            raise ValueError(f"problems must share their observations, got n in {sizes}")
+        stages = [self._dissimilarity(mat) for mat, _, _ in problems]
+        maps = self._maps([s for _, s in stages])
+        return [
+            self._result(mat, lbls, sgns, z, s, mds)
+            for (mat, lbls, sgns), (z, s), mds in zip(problems, stages, maps)
+        ]
+
+    def _dissimilarity(self, mat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Stages 1 and 2: the normalized matrix and its dissimilarities."""
+        z = normalize_matrix(mat, ddof=self.ddof)
+        return z, pairwise_dissimilarity(z, metric=self.metric)
+
+    def _maps(self, dissimilarities: Sequence[np.ndarray]) -> List[MDSResult]:
+        """Stage 3 for same-size problems: each one's best-restart map,
+        from one lockstep SMACOF batch (what :func:`smacof` returns for it)."""
+        return _solve_many(
+            [check_dissimilarity(s) for s in dissimilarities],
+            self.dim,
+            transform=self.transform,
+            n_init=self.n_init,
+            max_iter=self.max_iter,
+            tol=self.tol,
+            seed=self.seed,
+        )
+
+    @staticmethod
+    def _result(
+        mat: np.ndarray,
+        labels: List[str],
+        signs: List[str],
+        z: np.ndarray,
+        s: np.ndarray,
+        mds: MDSResult,
+    ) -> CoplotResult:
+        """Stage 4 (arrows) and the assembled result."""
         return CoplotResult(
-            labels=list(labels),
-            signs=list(signs),
+            labels=labels,
+            signs=signs,
             y=mat.copy(),
             z=z,
             dissimilarity=s,
             mds=mds,
-            arrows=arrows,
+            arrows=fit_arrows(mds.coords, z, signs),
         )
+
+
+def _check_problem(
+    y, labels: Optional[Sequence[str]], signs: Optional[Sequence[str]]
+) -> Tuple[np.ndarray, List[str], List[str]]:
+    """Validate one observation matrix and its names; fill in defaults."""
+    mat = check_2d(y, "y")
+    n, p = mat.shape
+    if n < 3:
+        raise ValueError(f"Co-plot needs at least 3 observations, got {n}")
+    if p < 1:
+        raise ValueError("Co-plot needs at least 1 variable")
+    if labels is None:
+        labels = [f"obs{i}" for i in range(n)]
+    labels = [str(l) for l in labels]
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} observations")
+    if signs is None:
+        signs = [f"v{j}" for j in range(p)]
+    signs = [str(s) for s in signs]
+    if len(signs) != p:
+        raise ValueError(f"{len(signs)} signs for {p} variables")
+    if len(set(labels)) != n:
+        raise ValueError("observation labels must be unique")
+    if len(set(signs)) != p:
+        raise ValueError("variable signs must be unique")
+    return mat, labels, signs

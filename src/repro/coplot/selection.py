@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -117,7 +118,8 @@ def best_subset(
 
     Subsets are ranked by average arrow correlation among those whose
     alienation stays within *max_alienation*; if none qualifies, the
-    lowest-alienation subsets are returned instead.
+    lowest-alienation subsets are returned instead.  Every subset is
+    fitted in one :meth:`~repro.coplot.model.Coplot.fit_many` batch.
 
     Parameters
     ----------
@@ -127,7 +129,8 @@ def best_subset(
         Subset size (the paper uses 3).
     candidates:
         Optional restriction of which variables may enter a subset (e.g.
-        one or two representatives per known cluster).
+        one or two representatives per known cluster); each sign at most
+        once.
     top:
         How many best subsets to return, best first.
     """
@@ -145,24 +148,30 @@ def best_subset(
         missing = [c for c in candidates if c not in index]
         if missing:
             raise ValueError(f"unknown candidate signs: {missing}")
+        repeated = sorted(c for c, count in Counter(candidates).items() if count > 1)
+        if repeated:
+            raise ValueError(f"duplicate candidate signs: {repeated}")
         pool = [index[c] for c in candidates]
     if len(pool) < k:
         raise ValueError(f"only {len(pool)} candidate variables for k={k}")
     cp = coplot if coplot is not None else Coplot()
 
-    scored: List[SubsetScore] = []
-    for combo in itertools.combinations(pool, k):
-        cols = list(combo)
-        result = cp.fit(mat[:, cols], labels=labels, signs=[signs[j] for j in cols])
-        scored.append(
-            SubsetScore(
-                signs=tuple(signs[j] for j in cols),
-                alienation=result.alienation,
-                average_correlation=result.average_correlation,
-                min_correlation=result.min_correlation,
-                result=result,
-            )
+    combos = [list(combo) for combo in itertools.combinations(pool, k)]
+    results = cp.fit_many(
+        [mat[:, cols] for cols in combos],
+        labels=labels,
+        signs=[[signs[j] for j in cols] for cols in combos],
+    )
+    scored = [
+        SubsetScore(
+            signs=tuple(signs[j] for j in cols),
+            alienation=result.alienation,
+            average_correlation=result.average_correlation,
+            min_correlation=result.min_correlation,
+            result=result,
         )
+        for cols, result in zip(combos, results)
+    ]
     within = [s for s in scored if s.alienation <= max_alienation]
     if within:
         within.sort(key=lambda s: (-s.average_correlation, s.alienation))

@@ -15,7 +15,9 @@ lowest-correlation estimators (rp, rc, pc), and reads off:
 
 By default the experiment analyzes the *measured* Table 3 (from
 :mod:`repro.experiments.table3`); pass ``use_published=True`` to run on the
-paper's own numbers instead.
+paper's own numbers instead.  When ``table3`` runs in the same batch, the
+runner hands its result over (the registry names it as this experiment's
+input), so Table 3 is measured once.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ def run_figure5(
     use_published:
         Analyze the paper's Table 3 numbers instead of re-measured ones.
     table3:
-        A precomputed :class:`Table3Result` to reuse (avoids re-measuring).
+        A precomputed :class:`Table3Result` to reuse (avoids re-measuring);
+        it must have been measured with the same *n_jobs* and *seed*.
     n_jobs, seed:
         Forwarded to :func:`run_table3` when measuring.
     min_correlation:

@@ -12,7 +12,9 @@ run function's real signature.
 experiment and flattens the result into a plain-JSON *payload* (rendered
 report, claim tuples, CSV/SVG artifacts) — the unit both the runtime
 cache stores and the parallel executor ships across process boundaries,
-so result objects themselves never need to be picklable.
+so result objects themselves never need to be picklable.  A spec with a
+``load`` also puts its result's ``to_data()`` in the payload, which is
+how an experiment naming it in ``inputs`` reuses it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.experiments.scheduling import run_scheduling
 from repro.experiments.stability import run_stability
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
-from repro.experiments.table3 import run_table3
+from repro.experiments.table3 import Table3Result, run_table3
 
 __all__ = [
     "ExperimentSpec",
@@ -52,6 +54,12 @@ class ExperimentSpec:
 
     ``seeded`` and ``quick_kwargs`` are deliberately required: every new
     experiment must state its quick-mode story when it registers.
+
+    ``load`` rebuilds the experiment's result object from the ``data``
+    its payload then carries (the result's ``to_data()``), so another
+    experiment can reuse it.  ``inputs`` names such experiments: ``run``
+    takes each one's result as the keyword of that id, and computes it
+    itself when it is not given.
     """
 
     id: str
@@ -59,6 +67,8 @@ class ExperimentSpec:
     seeded: bool
     quick_kwargs: Mapping[str, Any]
     timeout_s: Optional[float] = None
+    inputs: Tuple[str, ...] = ()
+    load: Optional[Callable[[Mapping[str, Any]], Any]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "quick_kwargs", dict(self.quick_kwargs))
@@ -70,8 +80,11 @@ def _spec(
     quick_kwargs: Mapping[str, Any],
     *,
     seeded: bool = True,
+    **fields: Any,
 ) -> Tuple[str, ExperimentSpec]:
-    return exp_id, ExperimentSpec(id=exp_id, run=run, seeded=seeded, quick_kwargs=quick_kwargs)
+    return exp_id, ExperimentSpec(
+        id=exp_id, run=run, seeded=seeded, quick_kwargs=quick_kwargs, **fields
+    )
 
 
 #: Declarative registry; insertion order is the canonical run/report order.
@@ -85,8 +98,8 @@ REGISTRY: Dict[str, ExperimentSpec] = dict(
         _spec("figure4", run_figure4, {"n_jobs": 4000}),
         _spec("param", run_parameterization, {}),
         _spec("load", run_load_alteration, {"n_jobs": 4000}),
-        _spec("table3", run_table3, {"n_jobs": 6000}),
-        _spec("figure5", run_figure5, {"n_jobs": 6000}),
+        _spec("table3", run_table3, {"n_jobs": 6000}, load=Table3Result.from_data),
+        _spec("figure5", run_figure5, {"n_jobs": 6000}, inputs=("table3",)),
         _spec("paramodel", run_parametric_model, {"n_jobs": 4000}),
         _spec("scheduling", run_scheduling, {"n_jobs": 2000}),
         _spec("stability", run_stability, {"n_boot": 15}),
@@ -111,9 +124,30 @@ def validate_registry(registry: Optional[Mapping[str, ExperimentSpec]] = None) -
             raise ValueError(
                 f"experiment {exp_id!r}: quick_kwargs {unknown} not accepted by {spec.run.__name__}"
             )
+        for dep in spec.inputs:
+            _check_input(spec, registry.get(dep), dep)
 
 
-validate_registry()
+def _check_input(spec: ExperimentSpec, dep_spec: Optional[ExperimentSpec], dep: str) -> None:
+    """*spec* may reuse *dep*'s result only if it is the very result
+    ``spec.run`` would compute itself: same seed and, in both modes, the
+    same value for every argument the two run functions share."""
+    if dep_spec is None or dep_spec.load is None:
+        raise ValueError(f"experiment {spec.id!r}: input {dep!r} is not a loadable experiment")
+    params = inspect.signature(spec.run).parameters
+    if dep not in params:
+        raise ValueError(f"experiment {spec.id!r}: {spec.run.__name__} takes no {dep!r} argument")
+    dep_params = inspect.signature(dep_spec.run).parameters
+    shared = [name for name in dep_params if name in params]
+    for quick in (False, True):
+        mine = build_kwargs(spec, seed=0, quick=quick)
+        theirs = build_kwargs(dep_spec, seed=0, quick=quick)
+        for name in shared:
+            if mine.get(name, params[name].default) != theirs.get(name, dep_params[name].default):
+                raise ValueError(
+                    f"experiment {spec.id!r}: {name!r} differs from input {dep!r}"
+                    f" ({'quick' if quick else 'full'} mode)"
+                )
 
 
 def build_kwargs(spec: ExperimentSpec, *, seed: int, quick: bool) -> Dict[str, Any]:
@@ -124,6 +158,9 @@ def build_kwargs(spec: ExperimentSpec, *, seed: int, quick: bool) -> Dict[str, A
     if quick:
         kwargs.update(spec.quick_kwargs)
     return kwargs
+
+
+validate_registry()
 
 
 def _extract_claims(result: Any) -> list:
@@ -143,11 +180,16 @@ def _extract_claims(result: Any) -> list:
     ]
 
 
-def execute_experiment(exp_id: str, kwargs: Mapping[str, Any]) -> Dict[str, Any]:
+def execute_experiment(
+    exp_id: str,
+    kwargs: Mapping[str, Any],
+    inputs: Optional[Mapping[str, Any]] = None,
+) -> Dict[str, Any]:
     """Run one experiment and flatten it into a JSON-safe payload.
 
     Runs in a worker process under ``--jobs N``; everything the CLI
     prints, caches or exports must come out of the returned payload.
+    *inputs* maps ids from ``spec.inputs`` to their loaded results.
     The run and render phases are traced as child spans when an ambient
     tracer is installed (no-ops otherwise).
     """
@@ -157,7 +199,7 @@ def execute_experiment(exp_id: str, kwargs: Mapping[str, Any]) -> Dict[str, Any]
     spec = REGISTRY[exp_id]
     start = time.perf_counter()
     with span("experiment.run", experiment=exp_id):
-        result = spec.run(**dict(kwargs))
+        result = spec.run(**dict(kwargs), **dict(inputs or {}))
     compute_s = time.perf_counter() - start
     with span("experiment.render", experiment=exp_id):
         payload: Dict[str, Any] = {
@@ -172,6 +214,8 @@ def execute_experiment(exp_id: str, kwargs: Mapping[str, Any]) -> Dict[str, Any]
         if coplot is not None:
             payload["artifacts"]["csv"] = coplot_to_csv(coplot)
             payload["artifacts"]["svg"] = coplot_to_svg(coplot)
+        if spec.load is not None:
+            payload["data"] = result.to_data()
     return payload
 
 
@@ -183,6 +227,7 @@ def execute_experiment_cached(
     refresh: bool = False,
     obs_ctx: Optional[Mapping[str, Any]] = None,
     profile_dir: Optional[str] = None,
+    inputs: Optional[Mapping[str, str]] = None,
 ) -> Dict[str, Any]:
     """Run one experiment through the shared result cache, in the worker.
 
@@ -199,8 +244,12 @@ def execute_experiment_cached(
     the worker's spans (cache lookup/compute/publish and in-experiment
     phases) nest under the run's trace in the shared ``trace.jsonl``.
     *profile_dir* enables per-task cProfile capture (``--profile``).
-    Neither ever reaches the cache key: the key covers only
-    ``(exp_id, kwargs, fingerprint)``.
+    *inputs* maps ids from ``spec.inputs`` to the cache keys of their
+    entries; a computing miss rebuilds each present entry with the
+    input's ``load`` and hands it to the run, which computes any missing
+    one itself.  None of these reaches the cache key: it covers only
+    ``(exp_id, kwargs, fingerprint)``, and the result does not depend
+    on where an input came from.
     """
     from repro.obs import Tracer, TraceWriter, maybe_profile, reset_tracer, set_tracer, span
     from repro.runtime.cache import ResultCache
@@ -218,9 +267,18 @@ def execute_experiment_cached(
             with maybe_profile(profile_dir, exp_id):
                 cache = ResultCache(cache_dir, fingerprint=fingerprint)
                 key = cache.key(exp_id, kwargs)
+
+                def compute() -> Dict[str, Any]:
+                    loaded = {}
+                    for dep, dep_key in (inputs or {}).items():
+                        entry = cache.get(dep_key)
+                        if entry is not None:
+                            loaded[dep] = REGISTRY[dep].load(entry["data"])
+                    return execute_experiment(exp_id, kwargs, loaded)
+
                 payload, hit = cache.get_or_compute(
                     key,
-                    lambda: execute_experiment(exp_id, kwargs),
+                    compute,
                     meta={"experiment": exp_id, "seed": dict(kwargs).get("seed")},
                     refresh=refresh,
                 )

@@ -16,6 +16,9 @@ Runs the requested experiments (all of them by default) on top of the
   subdirectory (``DIR/run-<UTC>-seed<seed>[...]``) with a ``DIR/latest``
   symlink, plus an append-only ``journal.jsonl`` recording each task
   outcome the moment it lands.
+* An experiment whose registry spec names ``inputs`` (``figure5`` reads
+  ``table3``) reuses their cache entries when they run in the same
+  batch, waiting on the ones still to compute; a failed input skips it.
 * ``--resume RUN_DIR`` re-opens a crashed run: the journal's seed/quick
   /ids are adopted, tasks already journaled ``ok`` are served from the
   cache, and only the remainder re-executes.
@@ -372,6 +375,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     ordered_misses = longest_first(misses, history)
     if history and ordered_misses != misses:
         on_event("schedule", policy="longest_first", order=list(ordered_misses))
+    # An input that is part of this run is handed over by cache key; one
+    # still to compute becomes a dependency, so a failed input skips its
+    # consumer.
+    inputs = {
+        exp_id: {dep: keys[dep] for dep in REGISTRY[exp_id].inputs if dep in keys}
+        for exp_id in ordered_misses
+    }
     tasks = [
         TaskSpec(
             id=exp_id,
@@ -384,7 +394,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "refresh": bool(args.no_cache),
                 "obs_ctx": obs_ctx,
                 "profile_dir": profile_dir,
+                "inputs": inputs[exp_id],
             },
+            deps=tuple(dep for dep in inputs[exp_id] if dep in misses),
             timeout=args.timeout if args.timeout is not None else REGISTRY[exp_id].timeout_s,
             retries=args.retries,
         )

@@ -111,27 +111,29 @@ def run_stability(*, n_boot: int = 40, seed: SeedLike = 0) -> StabilityResult:
     }
     anti_hits = 0
     p = y.shape[1]
+    # Every tracked variable must be present in each replicate: resample
+    # the columns, then put one copy of each tracked one in the prefix.
+    tracked = sorted({s for pair in _TRACKED_PAIRS for s in pair[:2]} | {"Nm"})
+    tracked_idx = [signs.index(s) for s in tracked]
     with span("stability.cluster_bootstrap", n_boot=n_boot):
+        replicates = []
         for _ in range(n_boot):
             cols = rng.integers(0, p, size=p)
-            # Every tracked variable must be present in the replicate; resample
-            # the *other* columns and keep one copy of each tracked one.
-            tracked = {s for pair in _TRACKED_PAIRS for s in pair[:2]} | {"Nm"}
-            tracked_idx = [signs.index(s) for s in sorted(tracked)]
             cols[: len(tracked_idx)] = tracked_idx
-            boot_signs = [f"{signs[j]}~{k}" for k, j in enumerate(cols)]
-            result = cp.fit(y[:, cols], labels=labels, signs=boot_signs)
-
-            def arrow_of(sign: str):
-                # The guaranteed copy sits in the tracked prefix.
-                k = sorted(tracked).index(sign)
-                return result.arrows[k]
-
+            replicates.append(cols)
+        results = cp.fit_many(
+            [y[:, cols] for cols in replicates],
+            labels=labels,
+            signs=[[f"{signs[j]}~{k}" for k, j in enumerate(cols)] for cols in replicates],
+        )
+        for result in results:
+            # The guaranteed copies sit in the tracked prefix.
+            arrow_of = dict(zip(tracked, result.arrows))
             for a, b, _ in _TRACKED_PAIRS:
-                ang = angle_between(arrow_of(a), arrow_of(b))
+                ang = angle_between(arrow_of[a], arrow_of[b])
                 if not math.isnan(ang) and ang <= _CLUSTER_ANGLE:
                     pair_hits[(a, b)] += 1
-            anti = angle_between(arrow_of("Nm"), arrow_of("Rm"))
+            anti = angle_between(arrow_of["Nm"], arrow_of["Rm"])
             if not math.isnan(anti) and anti >= 110.0:
                 anti_hits += 1
 

@@ -108,6 +108,28 @@ class TestBestSubset:
                 data_with_noise, 2, signs=["A", "B", "C", "D", "N"], candidates=["ZZ"]
             )
 
+    def test_duplicate_candidates_rejected_before_any_fit(self, data_with_noise, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("subsets were fitted before the candidates were checked")
+
+        monkeypatch.setattr(Coplot, "fit_many", fail)
+        monkeypatch.setattr(Coplot, "fit", fail)
+        with pytest.raises(ValueError, match=r"duplicate candidate signs: \['a'\]"):
+            best_subset(
+                data_with_noise[:, :4], 2, signs=list("abcd"), candidates=["a", "a", "b"]
+            )
+
+    def test_subsets_match_lone_fits(self, data_with_noise):
+        signs = ["A", "B", "C", "D", "N"]
+        scores = best_subset(data_with_noise, 2, signs=signs, coplot=FAST, top=10)
+        assert len(scores) == 10
+        for score in scores:
+            cols = [signs.index(s) for s in score.signs]
+            alone = FAST.fit(data_with_noise[:, cols], signs=list(score.signs))
+            np.testing.assert_array_equal(score.result.coords, alone.coords)
+            assert score.alienation == alone.alienation
+            assert score.average_correlation == alone.average_correlation
+
     def test_k_validation(self, data_with_noise):
         with pytest.raises(ValueError, match="k must be"):
             best_subset(data_with_noise, 0)

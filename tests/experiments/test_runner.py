@@ -86,3 +86,61 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "cached" not in out
         assert "finished in" in out
+
+
+@pytest.fixture
+def table3_rows(monkeypatch):
+    """Count Table 3 row measurements (every run below is serial, inline)."""
+    import repro.experiments.table3 as table3_mod
+
+    calls = []
+    real = table3_mod.measure_table3_row
+
+    def counting(workload):
+        calls.append(workload.name)
+        return real(workload)
+
+    monkeypatch.setattr(table3_mod, "measure_table3_row", counting)
+    return calls
+
+
+def _outputs(out_dir, exp_id):
+    latest = os.path.join(str(out_dir), "latest")
+    return {
+        ext: open(os.path.join(latest, f"{exp_id}.{ext}"), "rb").read()
+        for ext in ("txt", "csv", "svg")
+    }
+
+
+class TestTable3Reuse:
+    def test_table3_measured_once_with_figure5(self, tmp_path, table3_rows, capsys):
+        argv = ["table3", "figure5", "--quick", "--cache-dir", str(tmp_path / "c")]
+        assert main(argv) == 0
+        assert len(table3_rows) == 15  # one per workload, not 30
+
+    def test_figure5_matches_a_standalone_run(self, tmp_path, table3_rows, capsys):
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        argv = ["table3", "figure5", "--quick", "--cache-dir", str(tmp_path / "c1")]
+        assert main(argv + ["--out", str(both)]) == 0
+        # Standalone on a fresh cache, figure5 measures Table 3 itself.
+        del table3_rows[:]
+        argv = ["figure5", "--quick", "--cache-dir", str(tmp_path / "c2")]
+        assert main(argv + ["--out", str(alone)]) == 0
+        assert len(table3_rows) == 15
+        assert _outputs(both, "figure5") == _outputs(alone, "figure5")
+
+    def test_failed_table3_skips_figure5_and_resume_completes(self, tmp_path, capsys):
+        cache, out = str(tmp_path / "c"), str(tmp_path / "out")
+        argv = ["table3", "figure5", "--quick", "--cache-dir", cache, "--out", out]
+        assert main(argv + ["--chaos", "3:table3=raise", "--retries", "0"]) == 1
+        printed = capsys.readouterr().out
+        assert "=== table3: FAILED ===" in printed
+        assert "=== figure5: SKIPPED ===" in printed
+        assert "dependency 'table3' did not succeed" in printed
+        run_dir = os.path.realpath(os.path.join(out, "latest"))
+        assert main(["--resume", run_dir, "--cache-dir", cache]) == 0
+        printed = capsys.readouterr().out
+        assert "0 of 2 task(s) already complete, 2 to run" in printed
+        assert "[table3 finished in" in printed
+        assert "[figure5 finished in" in printed
+        assert os.path.exists(os.path.join(run_dir, "figure5.svg"))
