@@ -563,8 +563,12 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
             if self.close_connection:
                 self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(data)
+            # end_headers() would send the head on its own, and Nagle
+            # would then hold the body until the client's delayed ACK
+            # (~40 ms per response on a kept-alive connection): queue the
+            # body behind the head and send both in one write.
+            self._headers_buffer.append(b"\r\n" + data)
+            self.flush_headers()
         except (BrokenPipeError, ConnectionResetError):  # client went away
             pass
 

@@ -7,10 +7,14 @@ Each accepted submission becomes one journaled job record
 1. marks the job ``running`` and opens the job span (parented to the
    submitting request's span, so the trace nests request → job →
    worker spans),
-2. runs the attempt in a dedicated **worker subprocess**
-   (:mod:`repro.service.worker`) under the runtime's supervised-attempt
-   primitive (:func:`repro.runtime.supervise.supervise`): every tick it
-   checks the result pipe, the job's cancel flag, the drain and the
+2. answers a cache hit itself: an attempt whose key (recorded at
+   submit) is already published finishes ``done`` from that payload,
+   with no process started; every other attempt — one that must
+   compute, or one carrying an armed chaos fault — runs in a dedicated
+   **worker subprocess** (:mod:`repro.service.worker`) under the
+   runtime's supervised-attempt primitive
+   (:func:`repro.runtime.supervise.supervise`): every tick it checks
+   the result pipe, the job's cancel flag, the drain and the
    ``job_timeout_s`` deadline,
 3. on deadline, client cancellation or an abandoned drain the worker is
    SIGKILLed and reaped within a tick — timeouts are *hard*: the slot
@@ -96,7 +100,7 @@ class _JobControl:
 
 
 class JobRunner:
-    """Executes journaled analysis jobs in supervised worker subprocesses."""
+    """Executes journaled analysis jobs: hits inline, the rest in supervised workers."""
 
     def __init__(
         self,
@@ -419,6 +423,14 @@ class JobRunner:
                 self.metrics.inc("chaos_journal_tears_total")
                 event("chaos_journal_torn", job=job_id, attempt=attempt)
                 fault = None
+            key = record.get("key")
+            if fault is None and key:
+                # A hit is answered here; a worker runs only an attempt
+                # that computes or carries a fault that must land in one.
+                payload = self.cache.get(key)
+                if payload is not None:
+                    self._finish_done(job_id, record, t0, attempt, handle, True, key, payload)
+                    return
             outcome = supervise(
                 job_worker_main,
                 (self._envelope(record, handle), fault),
@@ -427,7 +439,11 @@ class JobRunner:
             )
             report = outcome.value if outcome.kind == "ok" else {}
             if report.get("ok"):
-                self._finish_done(job_id, record, t0, attempt, report, handle)
+                key = report.get("key")
+                payload = self.cache.get(key) if key else None
+                self._finish_done(
+                    job_id, record, t0, attempt, handle, bool(report.get("hit")), key, payload
+                )
                 return
             if outcome.kind == "timeout":
                 event("job_timeout_kill", job=job_id, attempt=attempt, timeout_s=self.job_timeout_s)
@@ -504,11 +520,9 @@ class JobRunner:
 
     # -- terminal transitions ------------------------------------------------
 
-    def _finish_done(self, job_id, record, t0, attempt, report, handle) -> None:
+    def _finish_done(self, job_id, record, t0, attempt, handle, hit, key, payload) -> None:
         elapsed = time.monotonic() - t0
-        hit, key = bool(report.get("hit")), report.get("key")
         handle.set(cache_hit=hit)
-        payload = self.cache.get(key) if key else None
         run_dir = (
             self._write_run_dir(job_id, record, payload) if payload is not None else None
         )

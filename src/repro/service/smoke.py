@@ -8,7 +8,9 @@ drives it with :mod:`urllib` exactly the way a client would:
 3. submit the *identical* analysis again and prove — via the service's
    own ``/metrics`` — that it resolved from the runtime cache
    (``analysis_cache_hits_total`` moved, ``analysis_compute_total``
-   did not),
+   did not), and — via ``<state-dir>/trace.jsonl`` — that the hit
+   started no worker: its ``job:<id>`` span has no worker-side
+   ``task:service.*`` child, while the first job's (the miss) has one,
 4. check the structured 4xx contract on a malformed upload,
 5. scrape ``/metrics`` and ``/healthz``.
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import gzip
 import json
+import os
 import shutil
 import tempfile
 import threading
@@ -31,6 +34,7 @@ import urllib.request
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.archive.synthesize import synthesize_workload
+from repro.obs import TRACE_NAME, read_trace
 from repro.service.app import ServiceApp, make_server
 from repro.workload.swf import render_swf_text
 
@@ -77,8 +81,32 @@ def _metric(text: str, name: str) -> float:
     return 0.0
 
 
-def run_smoke(base: str, *, timeout_s: float = 120.0) -> List[str]:
-    """Drive one smoke pass against *base*; returns failure messages."""
+def _worker_spans(trace_path: str, job_id: str, *, timeout_s: float) -> Optional[List[str]]:
+    """Names of the worker-side ``task:service.*`` spans under a job's span.
+
+    ``None`` if the ``job:<id>`` span never reaches the trace: the
+    supervisor closes it just after journaling the terminal state, so a
+    poll that saw ``done`` may read the trace a moment early.
+    """
+    deadline = time.monotonic() + timeout_s
+    while True:
+        spans = read_trace(trace_path).spans
+        job = next((s for s in spans if s.get("name") == f"job:{job_id}"), None)
+        if job is not None:
+            return [
+                s["name"]
+                for s in spans
+                if s.get("parent_id") == job["span_id"]
+                and str(s.get("name")).startswith("task:service.")
+            ]
+        if time.monotonic() > deadline:
+            return None
+        time.sleep(_POLL_INTERVAL_S)
+
+
+def run_smoke(base: str, state_dir: str, *, timeout_s: float = 120.0) -> List[str]:
+    """Drive one smoke pass against the service at *base*, whose state
+    lives in *state_dir*; returns failure messages."""
     failures: List[str] = []
 
     def check(ok: bool, what: str) -> bool:
@@ -142,6 +170,14 @@ def run_smoke(base: str, *, timeout_s: float = 120.0) -> List[str]:
         == _metric(before_text, "analysis_compute_total"),
         "compute counter unchanged (no recompute)",
     )
+    trace_path = os.path.join(state_dir, TRACE_NAME)
+    miss = _worker_spans(trace_path, submit["job_id"], timeout_s=timeout_s)
+    check(
+        miss is not None and len(miss) == 1,
+        f"the miss computed in a worker (task:service.* spans under its job: {miss})",
+    )
+    hit = _worker_spans(trace_path, job2["id"], timeout_s=timeout_s)
+    check(hit == [], f"the hit started no worker (task:service.* spans under its job: {hit})")
 
     # 4. structured errors
     status, body, _ = _request(
@@ -187,7 +223,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     thread.start()
     print(f"smoke: service on http://{host}:{port} (state={state_dir})", flush=True)
     try:
-        failures = run_smoke(f"http://{host}:{port}", timeout_s=args.timeout_s)
+        failures = run_smoke(f"http://{host}:{port}", state_dir, timeout_s=args.timeout_s)
     finally:
         server.shutdown()
         server.server_close()

@@ -22,12 +22,14 @@ uploads of the same log and lets a re-enqueued job find its input after
 a crash.
 
 The store is thread-safe with a two-lock discipline: ``_lock`` guards
-the in-memory map and the pending-line queue and is never held across
-I/O; ``_io_lock`` serializes the journal appends themselves.  Writers
-queue their journal line under ``_lock`` and then :meth:`flush` — by
-the time ``flush`` returns, the caller's line is fsync'd (written by
-this flush, or by a concurrent one that drained the queue first, which
-must have completed before this one could acquire ``_io_lock``).
+the in-memory map, its index of in-flight jobs by cache key (the
+submit path's dedup lookup) and the pending-line queue and is never
+held across I/O; ``_io_lock`` serializes the journal appends
+themselves.  Writers queue their journal line under ``_lock`` and then
+:meth:`flush` — by the time ``flush`` returns, the caller's line is
+fsync'd (written by this flush, or by a concurrent one that drained the
+queue first, which must have completed before this one could acquire
+``_io_lock``).
 ``create_deferred`` lets a caller that already holds its own lock (the
 service's submit lock) queue the record and flush after releasing it.
 The lock order is always ``_io_lock`` then ``_lock``, never reversed.
@@ -41,7 +43,7 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.util import appendlog
 from repro.util.atomicio import atomic_write_bytes
@@ -66,6 +68,9 @@ JOB_STATES = ("queued", "running", "done", "error", "cancelled", "poisoned")
 #: States a job never leaves on its own (``retry`` can pardon them).
 TERMINAL_STATES = ("done", "error", "cancelled", "poisoned")
 
+#: States in which a job still owns its cache key (submit dedup).
+_IN_FLIGHT_STATES = ("queued", "running")
+
 
 class JobStore:
     """Append-only journal plus in-memory index of analysis jobs."""
@@ -78,7 +83,11 @@ class JobStore:
         self._lock = threading.Lock()
         self._io_lock = threading.Lock()
         self._jobs: Dict[str, Dict[str, Any]] = {}
-        self._order: List[str] = []
+        #: Submission (or replay) position of every job id.
+        self._seq: Dict[str, int] = {}
+        #: Cache key -> ids of the queued/running jobs on it.  ``pardon``
+        #: can put a second job on a key, so a key holds a set.
+        self._in_flight: Dict[str, Set[str]] = {}
         self._pending: List[str] = []
         self._poison: Dict[str, int] = {}
         # A crash mid-append may have left a torn, newline-less tail;
@@ -106,9 +115,24 @@ class JobStore:
             if not isinstance(job_id, str):
                 continue
             record.pop("type", None)
-            if job_id not in self._jobs:
-                self._order.append(job_id)
-            self._jobs[job_id] = record  # last record wins
+            self._store(job_id, record)  # last record wins
+
+    def _store(self, job_id: str, record: Dict[str, Any]) -> None:
+        """Install *record* as *job_id*'s state and keep the key index in
+        step; caller holds ``_lock`` (or owns the store, during replay)."""
+        old = self._jobs.get(job_id)
+        if old is None:
+            self._seq[job_id] = len(self._seq)
+        old_key, new_key = _in_flight_key(old), _in_flight_key(record)
+        if old_key != new_key:
+            if old_key is not None:
+                ids = self._in_flight[old_key]
+                ids.discard(job_id)
+                if not ids:
+                    del self._in_flight[old_key]
+            if new_key is not None:
+                self._in_flight.setdefault(new_key, set()).add(job_id)
+        self._jobs[job_id] = record
 
     # -- writes --------------------------------------------------------------
 
@@ -145,8 +169,7 @@ class JobStore:
         with self._lock:
             if job_id in self._jobs:
                 raise ValueError(f"duplicate job id {job_id}")
-            self._jobs[job_id] = record
-            self._order.append(job_id)
+            self._store(job_id, record)
             self._queue({"type": "job", **record})
         return dict(record)
 
@@ -168,7 +191,7 @@ class JobStore:
                 raise KeyError(f"unknown job {job_id}")
             merged = {**current, **fields}
             merged = {k: v for k, v in merged.items() if v is not None}
-            self._jobs[job_id] = merged
+            self._store(job_id, merged)
             self._queue({"type": "job", **merged})
         self.flush()
         return dict(merged)
@@ -205,16 +228,18 @@ class JobStore:
     def jobs(self) -> List[Dict[str, Any]]:
         """All jobs in submission order (replayed order after a restart)."""
         with self._lock:
-            return [dict(self._jobs[j]) for j in self._order]
+            return [dict(record) for record in self._jobs.values()]
 
     def in_flight_for_key(self, key: str) -> Optional[Dict[str, Any]]:
-        """The queued/running job already working on cache key *key*."""
+        """The queued/running job already working on cache key *key*.
+
+        The earliest-submitted one when ``pardon`` has put several there.
+        """
         with self._lock:
-            for job_id in self._order:
-                record = self._jobs[job_id]
-                if record.get("key") == key and record.get("status") in ("queued", "running"):
-                    return dict(record)
-        return None
+            ids = self._in_flight.get(key)
+            if not ids:
+                return None
+            return dict(self._jobs[min(ids, key=self._seq.__getitem__)])
 
     def counts(self) -> Dict[str, int]:
         """Jobs per lifecycle state (for /healthz and gauges)."""
@@ -250,3 +275,11 @@ class JobStore:
 
     def upload_path(self, digest: str) -> str:
         return os.path.join(self.uploads_dir, f"{digest}.swf")
+
+
+def _in_flight_key(record: Optional[Dict[str, Any]]) -> Optional[str]:
+    """The cache key *record* holds in flight, or ``None``."""
+    if record is None or record.get("status") not in _IN_FLIGHT_STATES:
+        return None
+    key = record.get("key")
+    return key if isinstance(key, str) else None

@@ -1,7 +1,8 @@
-"""The job worker: one subprocess per job attempt.
+"""The job worker: one subprocess per job attempt that computes.
 
-The supervisor (:mod:`repro.service.jobs`) runs :func:`job_worker_main`
-for every attempt in a fresh process under
+The supervisor (:mod:`repro.service.jobs`) answers a cache hit itself
+and runs :func:`job_worker_main` for every other attempt — a miss, or
+one carrying an armed chaos fault — in a fresh process under
 :func:`repro.runtime.supervise.supervise`, which ties the worker's life
 to the supervisor's, sends its return value up a pipe and SIGKILLs it
 at the deadline, on cancellation or when a drain gives up.  Running

@@ -4,6 +4,7 @@ import gzip
 import http.client
 import json
 import os
+import socket
 import threading
 import urllib.parse
 
@@ -247,3 +248,68 @@ class TestIntrospection:
         )
         assert status == 503
         assert body["error"]["code"] == "shutting_down"
+
+
+class TestKeepAlive:
+    def test_each_response_is_one_socket_write(self, service_factory, monkeypatch):
+        """Status line, headers and body leave in one write.  Sent apart,
+        Nagle holds the body back until the client's delayed ACK of the
+        head, ~40 ms per response on a kept-alive connection."""
+        svc = service_factory()
+        host, port = svc["server"].server_address[:2]
+        writes = []
+
+        def counting(real):
+            def write(sock, data, *args):
+                if sock.family == socket.AF_INET and sock.getsockname()[1] == port:
+                    writes.append(len(data))  # the server's side only
+                return real(sock, data, *args)
+
+            return write
+
+        for name in ("send", "sendall"):
+            monkeypatch.setattr(socket.socket, name, counting(getattr(socket.socket, name)))
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for method, path in (
+                ("GET", "/healthz"),
+                ("GET", "/metrics"),
+                ("GET", "/v1/analyses/nope"),
+                ("DELETE", "/healthz"),
+            ):
+                writes.clear()
+                conn.request(method, path)
+                resp = conn.getresponse()
+                body = resp.read()
+                assert body
+                assert len(writes) == 1, (method, path, writes)
+                assert writes[0] > len(body)  # the head rode along
+        finally:
+            conn.close()
+
+    def test_one_connection_serves_many_requests(self, service_factory, cheap_doc):
+        svc = service_factory(workers=1)
+        host, port = svc["server"].server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
+            sock = conn.sock
+            conn.request(
+                "POST",
+                "/v1/analyses",
+                body=json.dumps(cheap_doc).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            assert resp.status == 202
+            job_id = json.loads(resp.read())["job_id"]
+            for path in (f"/v1/analyses/{job_id}", "/v1/analyses", "/readyz", "/nope"):
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                assert resp.status == (404 if path == "/nope" else 200), path
+                json.loads(resp.read())
+            assert conn.sock is sock  # every request rode the first connection
+        finally:
+            conn.close()

@@ -3,11 +3,21 @@
 import gzip
 import json
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.service.errors import ServiceError
 from repro.service.store import JOBS_JOURNAL_NAME, JobStore
+
+
+def _scan_in_flight(store, key):
+    """The first queued/running job on *key* in submission order."""
+    for record in store.jobs():
+        if record.get("key") == key and record["status"] in ("queued", "running"):
+            return record["id"]
+    return None
 
 
 class TestLifecycle:
@@ -58,13 +68,83 @@ class TestLifecycle:
         }
 
     def test_in_flight_for_key(self, tmp_path):
+        """The key index answers what a scan of every job in submission
+        order answers, through every transition that moves a job in or
+        out of flight — including a pardon that puts two jobs on a key."""
+
+        def check(store, expected):
+            for key in ("k1", "k2", "k3"):
+                found = store.in_flight_for_key(key)
+                assert (found and found["id"]) == _scan_in_flight(store, key) == expected.get(key)
+
         store = JobStore(str(tmp_path))
         store.create("j1", key="k1")
         store.create("j2", key="k2")
-        store.update("j1", status="done")
-        assert store.in_flight_for_key("k1") is None  # done is not in flight
-        assert store.in_flight_for_key("k2")["id"] == "j2"
-        assert store.in_flight_for_key("k3") is None
+        check(store, {"k1": "j1", "k2": "j2"})
+        store.update("j1", status="running")
+        check(store, {"k1": "j1", "k2": "j2"})
+        store.update("j1", status="done")  # done is not in flight
+        check(store, {"k2": "j2"})
+        store.update("j2", status="cancelled")
+        check(store, {})
+        store.create("j3", key="k1")
+        store.update("j3", status="running")
+        check(store, {"k1": "j3"})
+        # A pardon re-queues j1 behind the running j3; the earlier
+        # submission is the one the key reports.
+        store.update("j1", status="queued", retried=True)
+        check(store, {"k1": "j1"})
+        store.update("j1", status="running")
+        store.update("j1", status="queued", drain_requeued=True)  # drain gave up
+        check(store, {"k1": "j1"})
+        store.update("j3", status="error")
+        check(store, {"k1": "j1"})
+        store.update("j2", status="queued", retried=True)
+        check(store, {"k1": "j1", "k2": "j2"})
+        # A restart replays the same index from the journal.
+        reborn = JobStore(str(tmp_path))
+        check(reborn, {"k1": "j1", "k2": "j2"})
+        reborn.update("j1", status="done")
+        check(reborn, {"k2": "j2"})
+        reborn.update("j3", status="queued", retried=True)
+        check(reborn, {"k1": "j3", "k2": "j2"})
+        check(JobStore(str(tmp_path)), {"k1": "j3", "k2": "j2"})
+
+    def test_key_index_holds_under_racing_writers(self, tmp_path):
+        """More threads than cores race jobs on shared keys through their
+        states; a lost index update would leave a key disagreeing with
+        the scan."""
+        store = JobStore(str(tmp_path))
+        keys = ("k0", "k1", "k2")
+        errors = []
+
+        def churn(t):
+            try:
+                for i in range(12):
+                    job_id = f"t{t}-{i}"
+                    store.create_deferred(job_id, key=keys[(t + i) % len(keys)])
+                    store.update(job_id, status="running")
+                    if i % 3:
+                        store.update(job_id, status="done")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn, args=(t,)) for t in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert not any(thread.is_alive() for thread in threads)
+        for key in keys:
+            found = store.in_flight_for_key(key)
+            assert found is not None
+            assert found["id"] == _scan_in_flight(store, key)
 
 
 class TestReplay:
