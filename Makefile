@@ -73,8 +73,8 @@ bench:
 obs-bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/obs_overhead.py
 
-# Kernel speedup gate: times the vectorized kernels against their
-# *_reference implementations, writes BENCH_perf.json, and fails when
+# Kernel speedup gate: times the vectorized kernels against their scalar
+# oracles in tests/oracles/, writes BENCH_perf.json, and fails when
 # any gated floor is missed (>=5x SWF ingest, >=3x SMACOF, >=10x Lublin
 # generation, >=3x bootstrap stability, >=2x FCFS simulation, >=4x
 # batched subset fits vs a Coplot.fit loop).

@@ -1,17 +1,18 @@
 """Vectorized-kernel speedup gate: ``make perf-bench``.
 
-Times each rewritten hot kernel against its retained ``*_reference``
-implementation on fixed synthetic inputs and writes the verdict to
+Times each rewritten hot kernel against its scalar oracle from
+``tests/oracles/`` on fixed synthetic inputs and writes the verdict to
 ``BENCH_perf.json``.  Six kernels carry hard floors:
 
 * SWF ingest (``read_swf`` vs ``read_swf_reference``) on an
   archive-shaped 120k-job log — must be **>= 5x** faster;
-* SMACOF at ``n_init=8`` (``engine="batched"`` vs ``"reference"``) —
-  must be **>= 3x** faster;
-* Lublin generation at 1M jobs (``engine="batched"`` vs
-  ``"reference"``) — must be **>= 10x** faster;
+* SMACOF at ``n_init=8`` (``smacof`` vs ``smacof_reference``) — must be
+  **>= 3x** faster;
+* Lublin generation at 1M jobs (``generate`` vs ``generate_reference``,
+  the per-job loop) — must be **>= 10x** faster;
 * bootstrap stability at ``n_boot=20`` on a paper-shaped matrix
-  (``engine="batched"`` vs ``"reference"``) — must be **>= 3x** faster;
+  (``bootstrap_stability`` vs ``bootstrap_stability_reference``) — must
+  be **>= 3x** faster;
 * the FCFS simulator loop at 100k jobs (``simulate`` vs
   ``simulate_reference``) — must be **>= 2x** faster;
 * the Section 8 subset search — the ``param`` experiment's 56
@@ -41,9 +42,12 @@ from typing import Callable, Dict
 
 import numpy as np
 
-OUT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_perf.json"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+OUT_PATH = os.path.join(ROOT, "BENCH_perf.json")
+
+# The oracles are test code: tests/ goes on the path next to src/ (the
+# pytest bench run imports this module without calling main()).
+sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 #: Hard speedup floors, asserted here and in benchmarks/test_bench_kernels.py.
 TARGETS = {
@@ -128,7 +132,8 @@ def _measure_pair(
 
 
 def measure_swf_ingest(n_jobs: int = SWF_JOBS, *, reps: int = 3) -> Dict[str, float]:
-    from repro.workload.swf import read_swf, read_swf_reference, write_swf
+    from oracles.swf import read_swf_reference
+    from repro.workload.swf import read_swf, write_swf
 
     workload = synthetic_workload(n_jobs)
     with tempfile.TemporaryDirectory() as tmp:
@@ -140,19 +145,21 @@ def measure_swf_ingest(n_jobs: int = SWF_JOBS, *, reps: int = 3) -> Dict[str, fl
 
 
 def measure_smacof(n_points: int = SMACOF_POINTS, *, reps: int = 2) -> Dict[str, float]:
+    from oracles.mds import smacof_reference
     from repro.coplot.mds.base import pairwise_euclidean
     from repro.coplot.mds.smacof import smacof
 
     d = pairwise_euclidean(np.random.default_rng(0).normal(size=(n_points, 5)))
     return _measure_pair(
-        lambda: smacof(d, seed=1, n_init=8, engine="batched"),
-        lambda: smacof(d, seed=1, n_init=8, engine="reference"),
+        lambda: smacof(d, seed=1, n_init=8),
+        lambda: smacof_reference(d, seed=1, n_init=8),
         reps,
     )
 
 
 def measure_rs_pox(n: int = RS_SERIES, *, reps: int = 5) -> Dict[str, float]:
-    from repro.selfsim.rs_analysis import rs_pox_points, rs_pox_points_reference
+    from oracles.hurst import rs_pox_points_reference
+    from repro.selfsim.rs_analysis import rs_pox_points
 
     x = np.cumsum(np.random.default_rng(3).standard_normal(n))
     return _measure_pair(
@@ -161,7 +168,8 @@ def measure_rs_pox(n: int = RS_SERIES, *, reps: int = 5) -> Dict[str, float]:
 
 
 def measure_render(n_jobs: int = SWF_JOBS, *, reps: int = 3) -> Dict[str, float]:
-    from repro.workload.swf import render_swf_text, render_swf_text_reference
+    from oracles.swf import render_swf_text_reference
+    from repro.workload.swf import render_swf_text
 
     workload = synthetic_workload(n_jobs)
     return _measure_pair(
@@ -172,12 +180,13 @@ def measure_render(n_jobs: int = SWF_JOBS, *, reps: int = 3) -> Dict[str, float]
 
 
 def measure_lublin(n_jobs: int = LUBLIN_JOBS, *, reps: int = 3) -> Dict[str, float]:
+    from oracles.models import generate_reference
     from repro.models import LublinModel
 
     model = LublinModel()
     return _measure_pair(
-        lambda: model.generate(n_jobs, seed=11, engine="batched"),
-        lambda: model.generate(n_jobs, seed=11, engine="reference"),
+        lambda: model.generate(n_jobs, seed=11),
+        lambda: generate_reference(model, n_jobs, seed=11),
         reps,
     )
 
@@ -185,13 +194,14 @@ def measure_lublin(n_jobs: int = LUBLIN_JOBS, *, reps: int = 3) -> Dict[str, flo
 def measure_bootstrap(
     n_boot: int = BOOT_N, shape=BOOT_SHAPE, *, reps: int = 3
 ) -> Dict[str, float]:
+    from oracles.bootstrap import bootstrap_stability_reference
     from repro.coplot.extend import bootstrap_stability
 
     rng = np.random.default_rng(7)
     y = rng.normal(size=shape) + np.linspace(0, 3, shape[1])
     return _measure_pair(
-        lambda: bootstrap_stability(y, n_boot=n_boot, seed=0, engine="batched"),
-        lambda: bootstrap_stability(y, n_boot=n_boot, seed=0, engine="reference"),
+        lambda: bootstrap_stability(y, n_boot=n_boot, seed=0),
+        lambda: bootstrap_stability_reference(y, n_boot=n_boot, seed=0),
         reps,
     )
 
@@ -219,7 +229,8 @@ def simulator_workload(n: int = SIM_JOBS, seed: int = 0, *, machine_procs: int =
 
 
 def measure_simulate_fcfs(n_jobs: int = SIM_JOBS, *, reps: int = 3) -> Dict[str, float]:
-    from repro.scheduler import FcfsScheduler, UnlimitedAllocator, simulate, simulate_reference
+    from oracles.simulator import simulate_reference
+    from repro.scheduler import FcfsScheduler, UnlimitedAllocator, simulate
 
     workload = simulator_workload(n_jobs)
     return _measure_pair(
@@ -259,9 +270,7 @@ def measure_subset_fits(n_candidates: int = 8, *, reps: int = 3) -> Dict[str, fl
 
 
 def main(argv=None) -> int:
-    sys.path.insert(
-        0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    )
+    sys.path.insert(0, os.path.join(ROOT, "src"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true", help="small inputs, no gate, no BENCH_perf.json"

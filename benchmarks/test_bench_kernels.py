@@ -4,8 +4,8 @@ Two layers: pytest-benchmark timings of the fast kernels themselves
 (tracked across runs like every other bench module), and the gated
 speedup assertions — the ≥5× SWF-ingest, ≥3× SMACOF, ≥10× Lublin
 generation, ≥3× bootstrap-stability, ≥2× FCFS-simulation and ≥4×
-subset-fits floors, measured against the retained ``*_reference``
-implementations (for subset fits, a plain ``Coplot.fit`` loop) exactly
+subset-fits floors, measured against the scalar oracles in
+``tests/oracles/`` (for subset fits, a plain ``Coplot.fit`` loop) exactly
 as ``make perf-bench`` measures them (the traffic-scale kernels at
 reduced sizes so the suite stays fast; ``make perf-bench`` runs the
 full 1M-job / 100k-job workloads).
@@ -83,7 +83,7 @@ class TestKernelBench:
         from repro.coplot.mds.smacof import smacof
 
         d = pairwise_euclidean(np.random.default_rng(0).normal(size=(16, 5)))
-        result = benchmark(lambda: smacof(d, seed=1, n_init=8, engine="batched"))
+        result = benchmark(lambda: smacof(d, seed=1, n_init=8))
         assert result.coords.shape == (16, 2)
 
     def test_bench_rs_pox_windowed(self, benchmark):
@@ -97,7 +97,7 @@ class TestKernelBench:
         from repro.models import LublinModel
 
         model = LublinModel()
-        w = benchmark(lambda: model.generate(50_000, seed=11, engine="batched"))
+        w = benchmark(lambda: model.generate(50_000, seed=11))
         assert len(w) == 50_000
 
     def test_bench_bootstrap_batched(self, benchmark):
@@ -105,9 +105,7 @@ class TestKernelBench:
 
         rng = np.random.default_rng(7)
         y = rng.normal(size=(14, 40)) + np.linspace(0, 3, 40)
-        result = benchmark(
-            lambda: bootstrap_stability(y, n_boot=5, seed=0, engine="batched")
-        )
+        result = benchmark(lambda: bootstrap_stability(y, n_boot=5, seed=0))
         assert result.positional_spread.shape == (14,)
 
     def test_bench_subset_fits_batched(self, benchmark):

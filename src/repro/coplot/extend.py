@@ -20,18 +20,12 @@ import numpy as np
 from scipy import optimize
 
 from repro.coplot.model import Coplot, CoplotResult
-from repro.coplot.procrustes import (
-    procrustes_align,
-    procrustes_align_batch,
-    procrustes_disparity,
-)
+from repro.coplot.procrustes import procrustes_align_batch
 from repro.obs.spans import span as obs_span
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_2d
 
 __all__ = ["project_observation", "bootstrap_stability", "StabilityReport"]
-
-_BOOT_ENGINES = ("batched", "reference")
 
 
 def _column_norms(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,23 +145,16 @@ def bootstrap_stability(
     n_boot: int = 20,
     coplot: Optional[Coplot] = None,
     seed: SeedLike = 0,
-    engine: str = "batched",
 ) -> StabilityReport:
     """Bootstrap the map over variables.
 
     Each replicate resamples the variable columns with replacement, refits
     Co-plot, aligns the replicate map onto the full-data map by Procrustes,
-    and records every observation's displacement.
-
-    Parameters
-    ----------
-    engine:
-        ``"batched"`` (default) embeds every replicate's restarts in one
-        lockstep SMACOF batch and aligns all replicate maps in one
-        vectorized Procrustes pass; ``"reference"`` refits replicates one
-        at a time through :meth:`Coplot.fit` and is kept as the
-        equivalence oracle.  Both see identical column resamples and
-        produce the same report.
+    and records every observation's displacement.  Every replicate's
+    restarts run as rows of one lockstep SMACOF batch and all replicate
+    maps are aligned in one vectorized Procrustes pass; the report equals
+    refitting the replicates one at a time through :meth:`Coplot.fit`
+    (the oracle in ``tests/oracles/bootstrap.py``).
 
     Returns
     -------
@@ -180,8 +167,6 @@ def bootstrap_stability(
     n, p = mat.shape
     if n_boot < 2:
         raise ValueError(f"n_boot must be >= 2, got {n_boot}")
-    if engine not in _BOOT_ENGINES:
-        raise ValueError(f"engine must be one of {_BOOT_ENGINES}, got {engine!r}")
     cp = coplot if coplot is not None else Coplot(n_init=2)
     if signs is None:
         signs = [f"v{j}" for j in range(p)]
@@ -193,48 +178,27 @@ def bootstrap_stability(
         ref_scale = 1.0
 
     rng = as_generator(seed)
-    displacements = np.zeros((n_boot, n))
-    disparities = []
-    with obs_span("bootstrap.stability", n_boot=n_boot, n=n, p=p, engine=engine):
-        if engine == "batched":
-            # The column resamples are pre-drawn in the same rng order the
-            # reference engine consumes them (Coplot.fit never touches
-            # this generator), so both engines see identical replicates.
-            # Every replicate's restarts run as rows of one lockstep
-            # SMACOF batch; arrows, which stability never reads, are
-            # skipped.
-            cols_per_boot = [rng.integers(0, p, size=p) for _ in range(n_boot)]
-            maps = cp._maps([cp._dissimilarity(mat[:, cols])[1] for cols in cols_per_boot])
-            boot_coords = np.stack([m.coords for m in maps])
-            aligned = procrustes_align_batch(ref_coords, boot_coords)
-            displacements = (
-                np.linalg.norm(aligned - ref_coords[None, :, :], axis=2)
-                / ref_scale
-            )
-            a_c = ref_coords - ref_coords.mean(axis=0)
-            norm = float(np.sum(a_c**2))
-            for b in range(n_boot):
-                if norm == 0:
-                    disparities.append(0.0)
-                    continue
-                resid = float(
-                    np.sum((a_c - (aligned[b] - ref_coords.mean(axis=0))) ** 2)
-                )
-                disparities.append(min(max(resid / norm, 0.0), 1.0))
-        else:
-            for b in range(n_boot):
-                cols = rng.integers(0, p, size=p)
-                # Resampled columns may repeat: suffix signs to keep them
-                # unique.
-                boot_signs = [f"{signs[j]}~{k}" for k, j in enumerate(cols)]
-                replicate = cp.fit(mat[:, cols], labels=labels, signs=boot_signs)
-                aligned_one = procrustes_align(ref_coords, replicate.coords)
-                displacements[b] = (
-                    np.linalg.norm(aligned_one - ref_coords, axis=1) / ref_scale
-                )
-                disparities.append(
-                    procrustes_disparity(ref_coords, replicate.coords)
-                )
+    with obs_span("bootstrap.stability", n_boot=n_boot, n=n, p=p):
+        # Every column resample is drawn before any replicate is fitted;
+        # a refit never touches this generator, so the resamples are the
+        # ones a replicate-at-a-time loop would draw.  Arrows, which
+        # stability never reads, are skipped.
+        cols_per_boot = [rng.integers(0, p, size=p) for _ in range(n_boot)]
+        maps = cp._maps([cp._dissimilarity(mat[:, cols])[1] for cols in cols_per_boot])
+        boot_coords = np.stack([m.coords for m in maps])
+        aligned = procrustes_align_batch(ref_coords, boot_coords)
+        displacements = (
+            np.linalg.norm(aligned - ref_coords[None, :, :], axis=2) / ref_scale
+        )
+        a_c = ref_coords - ref_coords.mean(axis=0)
+        norm = float(np.sum(a_c**2))
+        disparities = []
+        for b in range(n_boot):
+            if norm == 0:
+                disparities.append(0.0)
+                continue
+            resid = float(np.sum((a_c - (aligned[b] - ref_coords.mean(axis=0))) ** 2))
+            disparities.append(min(max(resid / norm, 0.0), 1.0))
 
     return StabilityReport(
         labels=list(reference.labels),

@@ -10,11 +10,11 @@ the dissimilarity order.  Two classic choices:
   *distances themselves* so their order matches the dissimilarity order;
   the disparities are then a rank-image of the distances.
 
-The public functions validate their inputs; the SMACOF engine calls the
-module-private unchecked kernels (``_pava``, ``_rank_image_unchecked``)
-because it constructs valid inputs itself and runs them inside the
-per-iteration hot loop.  :func:`isotonic_regression_reference` keeps the
-original scalar PAVA loop as the permanent equivalence oracle.
+The public functions validate their inputs; SMACOF calls the unchecked
+row-batched kernel (``_pava_rows``) because it constructs valid inputs
+itself and runs it inside the per-iteration hot loop.  The scalar
+stack-based PAVA loop the block-merge kernels replaced is their
+equivalence oracle in ``tests/oracles/mds.py``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.util.validation import check_1d
 
-__all__ = ["isotonic_regression", "isotonic_regression_reference", "rank_image"]
+__all__ = ["isotonic_regression", "rank_image"]
 
 
 def _check_weights(arr: np.ndarray, weights) -> np.ndarray:
@@ -70,8 +70,8 @@ def _pava_rows(y2d: np.ndarray) -> np.ndarray:
     One flat parallel block-merge over the whole ``(k, m)`` batch: block
     boundaries at row starts are never merged away, so rows stay
     independent and each row's result equals ``_pava(row, ones)`` — this
-    is what lets the batched SMACOF engine fit all restarts' disparities
-    in lockstep without a per-restart Python loop.
+    is what lets SMACOF fit all restarts' disparities in lockstep without
+    a per-restart Python loop.
     """
     k, m = y2d.shape
     flat = np.ascontiguousarray(y2d).ravel()
@@ -115,38 +115,6 @@ def isotonic_regression(y, weights=None) -> np.ndarray:
     arr = check_1d(y, "y", min_len=1)
     w = _check_weights(arr, weights)
     return _pava(arr, w)
-
-
-def isotonic_regression_reference(y, weights=None) -> np.ndarray:
-    """The original scalar PAVA loop, kept as the equivalence oracle.
-
-    Maintains blocks as (value, weight, count) on an explicit stack and
-    merges backwards whenever a new block violates monotonicity.  Same
-    contract as :func:`isotonic_regression`; the property tests assert
-    the two agree on random inputs, weights and ties.
-    """
-    arr = check_1d(y, "y", min_len=1)
-    w = _check_weights(arr, weights)
-
-    n = len(arr)
-    values = np.empty(n)
-    wsums = np.empty(n)
-    counts = np.empty(n, dtype=np.int64)
-    top = 0
-    for i in range(n):
-        values[top] = arr[i]
-        wsums[top] = w[i]
-        counts[top] = 1
-        top += 1
-        while top > 1 and values[top - 2] > values[top - 1]:
-            total_w = wsums[top - 2] + wsums[top - 1]
-            values[top - 2] = (
-                values[top - 2] * wsums[top - 2] + values[top - 1] * wsums[top - 1]
-            ) / total_w
-            wsums[top - 2] = total_w
-            counts[top - 2] += counts[top - 1]
-            top -= 1
-    return np.repeat(values[:top], counts[:top])
 
 
 def _rank_image_unchecked(d: np.ndarray, order: np.ndarray) -> np.ndarray:

@@ -7,13 +7,13 @@ their order — via Kruskal isotonic regression or Guttman's rank-image — and
 majorization.  Multiple restarts (one deterministic from classical scaling,
 the rest random) guard against local minima; the best configuration is kept.
 
-Two engines share the public entry point: the default ``"batched"`` engine
-runs every restart in lockstep as one ``(k, n, dim)`` tensor — batched
+Every restart runs in lockstep as one ``(k, n, dim)`` tensor — batched
 Guttman transforms, per-restart vectorized PAVA, cached ``triu`` indices,
-and no per-iteration input re-validation — while ``"reference"`` keeps the
-original one-restart-at-a-time scalar path as the permanent equivalence
-oracle (the property tests assert both select the same restart and agree
-on coordinates to 1e-9).
+and no per-iteration input re-validation.  The one-restart-at-a-time
+scalar path this replaced is the equivalence oracle in
+``tests/oracles/mds.py``; the property tests assert both select the same
+restart and agree on coordinates to 1e-9 (see docs/PERFORMANCE.md for
+the inputs that claim covers).
 
 The batch rows need not share a problem: :func:`_solve_many` stacks the
 restarts of many same-size problems into batches of bounded size (what
@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.coplot.mds.alienation import coefficient_of_alienation, kruskal_stress
+from repro.coplot.mds.alienation import coefficient_of_alienation
 from repro.coplot.mds.base import (
     MDSResult,
     check_dissimilarity,
@@ -40,18 +40,13 @@ from repro.coplot.mds.base import (
     upper_triangle,
 )
 from repro.coplot.mds.classical import classical_mds
-from repro.coplot.mds.monotone import (
-    _pava_rows,
-    isotonic_regression_reference,
-    rank_image,
-)
+from repro.coplot.mds.monotone import _pava_rows
 from repro.obs.spans import span as obs_span
 from repro.util.rng import SeedLike, as_generator
 
 __all__ = ["smacof"]
 
 _TRANSFORMS = ("metric", "isotonic", "rank-image")
-_ENGINES = ("batched", "reference")
 
 # Entries in each (rows, n, n) working array of one _run_batch call (8 MB
 # of float64); _solve_many slices bigger stacks so peak memory stays flat.
@@ -66,86 +61,6 @@ def _triu(n: int) -> Tuple[np.ndarray, np.ndarray]:
     iteration via ``_to_matrix``; the cache makes it once per size.
     """
     return np.triu_indices(n, k=1)
-
-
-def _disparities(
-    sv: np.ndarray, dv: np.ndarray, transform: str
-) -> np.ndarray:
-    """Compute disparities for the current distances *dv* given
-    dissimilarities *sv* (reference scalar path, one restart at a time)."""
-    if transform == "metric":
-        denom = float(np.sum(sv * sv))
-        scale = float(np.sum(sv * dv)) / denom if denom > 0 else 1.0
-        return sv * scale
-    # Ties in sv are broken by the current distances (Kruskal's primary
-    # approach): within a tie block the distances are free to keep their
-    # own order.
-    order = np.lexsort((dv, sv))
-    out = np.empty_like(dv)
-    if transform == "isotonic":
-        out[order] = isotonic_regression_reference(dv[order])
-    elif transform == "rank-image":
-        out = rank_image(dv, order)
-    else:  # pragma: no cover - guarded by caller
-        raise ValueError(f"unknown transform {transform!r}")
-    return out
-
-
-def _guttman_transform(coords: np.ndarray, dhat_mat: np.ndarray) -> np.ndarray:
-    """One Guttman transform step: X <- (1/n) B(X) X with unit weights."""
-    n = coords.shape[0]
-    d = pairwise_euclidean(coords)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(d > 0, dhat_mat / np.where(d > 0, d, 1.0), 0.0)
-    b = -ratio
-    np.fill_diagonal(b, 0.0)
-    np.fill_diagonal(b, -b.sum(axis=1))
-    return (b @ coords) / n
-
-
-def _to_matrix(flat: np.ndarray, n: int) -> np.ndarray:
-    mat = np.zeros((n, n))
-    iu = _triu(n)
-    mat[iu] = flat
-    mat[(iu[1], iu[0])] = flat
-    return mat
-
-
-def _run_single(
-    sv: np.ndarray,
-    n: int,
-    coords: np.ndarray,
-    transform: str,
-    max_iter: int,
-    tol: float,
-) -> tuple:
-    m = len(sv)
-    stress_prev = math.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        dv = upper_triangle(pairwise_euclidean(coords))
-        dhat = _disparities(sv, dv, transform)
-        # Normalize disparities to fixed total squared size to pin the
-        # scale of the problem (standard nonmetric SMACOF normalization).
-        norm = float(np.sum(dhat**2))
-        if norm <= 0:
-            break
-        dhat = dhat * math.sqrt(m / norm)
-        stress = kruskal_stress(dhat, dv)
-        if abs(stress_prev - stress) < tol:
-            converged = True
-            stress_prev = stress
-            break
-        stress_prev = stress
-        coords = _guttman_transform(coords, _to_matrix(dhat, n))
-    coords = coords - coords.mean(axis=0)
-    return coords, float(stress_prev), it, converged
-
-
-# ---------------------------------------------------------------------------
-# Batched engine: all restarts advance in lockstep as a (k, n, dim) tensor.
-# ---------------------------------------------------------------------------
 
 
 def _batched_pairwise(coords: np.ndarray) -> np.ndarray:
@@ -210,8 +125,8 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     memory and left to right when it is strided, so its rounding would
     depend on the batch layout — and a one-row batch is always
     contiguous.  A running sum has one order for every batch size, which
-    keeps each row's result independent of the rows batched with it; the
-    batched engine sums over m only through here.
+    keeps each row's result independent of the rows batched with it;
+    SMACOF sums over m only through here.
     """
     return np.cumsum(x, axis=1)[:, -1]
 
@@ -296,8 +211,7 @@ def _run_batch(
     tol: float,
 ) -> tuple:
     """Every row in lockstep; returns per-row (coords, stress, n_iter,
-    converged) arrays matching what :func:`_run_single` would produce for
-    each start independently.
+    converged) arrays, each row what its start gives when run alone.
 
     *sv* is (k, m): row j embeds ``sv[j]`` from ``starts[j]``.  The
     restarts of one problem repeat its vector; rows of different problems
@@ -334,8 +248,8 @@ def _run_batch(
         dhat = _batched_disparities(sv_rows, dv, transform, orders)
         norm = _row_sums(dhat * dhat)
         n_iter[idx] = it
-        # Rows whose disparities collapsed stop exactly like the
-        # reference `break`: stress untouched, not converged.
+        # Rows whose disparities collapsed stop with their stress
+        # untouched and not converged.
         live = norm > 0
         if live.any():
             li = np.flatnonzero(live)
@@ -368,16 +282,15 @@ def _solve_many(
     select_by: str = "alienation",
     seed: SeedLike = None,
     init: Optional[np.ndarray] = None,
-    engine: str = "batched",
 ) -> List[MDSResult]:
     """Best-of-restarts SMACOF for a stack of validated n x n problems.
 
     Each problem gets the starts a lone :func:`smacof` call would draw
     (*init*, or classical scaling plus ``n_init - 1`` normals from
-    ``as_generator(seed)``, drawn in problem order); the batched engine
-    then runs every problem's restarts as rows of :func:`_run_batch`
-    calls of at most ``_BATCH_CELLS // n²`` rows each, and each problem
-    keeps its best restart.  Rows never affect each other, so where the
+    ``as_generator(seed)``, drawn in problem order), then runs every
+    problem's restarts as rows of :func:`_run_batch` calls of at most
+    ``_BATCH_CELLS // n²`` rows each, and each problem keeps its best
+    restart.  Rows never affect each other, so where the
     slices fall does not matter: entry i is exactly ``smacof(mats[i], ...)``.
     """
     if dim < 1:
@@ -388,8 +301,6 @@ def _solve_many(
         raise ValueError(f"select_by must be 'alienation' or 'stress', got {select_by!r}")
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
-    if engine not in _ENGINES:
-        raise ValueError(f"engine must be one of {_ENGINES}, got {engine!r}")
     best: Dict[int, MDSResult] = {}
     best_key: Dict[int, float] = {}
     owners: List[int] = []
@@ -429,28 +340,21 @@ def _solve_many(
         n=n,
         problems=len(mats),
         starts=len(starts),
-        engine=engine,
     ) as handle:
-        if engine == "batched":
-            step = max(1, _BATCH_CELLS // (n * n))
-            runs = []
-            for lo in range(0, len(starts), step):
-                coords, stresses, n_iters, convs = _run_batch(
-                    np.stack(rows[lo : lo + step]),
-                    n,
-                    np.stack(starts[lo : lo + step]),
-                    transform,
-                    max_iter,
-                    tol,
-                )
-                runs += [
-                    (coords[j], float(stresses[j]), int(n_iters[j]), bool(convs[j]))
-                    for j in range(len(coords))
-                ]
-        else:
-            runs = [
-                _run_single(sv, n, start, transform, max_iter, tol)
-                for sv, start in zip(rows, starts)
+        step = max(1, _BATCH_CELLS // (n * n))
+        runs = []
+        for lo in range(0, len(starts), step):
+            coords, stresses, n_iters, convs = _run_batch(
+                np.stack(rows[lo : lo + step]),
+                n,
+                np.stack(starts[lo : lo + step]),
+                transform,
+                max_iter,
+                tol,
+            )
+            runs += [
+                (coords[j], float(stresses[j]), int(n_iters[j]), bool(convs[j]))
+                for j in range(len(coords))
             ]
         for i, sv, (coords, stress, it, conv) in zip(owners, rows, runs):
             theta = coefficient_of_alienation(sv, upper_triangle(pairwise_euclidean(coords)))
@@ -483,7 +387,6 @@ def smacof(
     tol: float = 1e-9,
     select_by: str = "alienation",
     seed: SeedLike = None,
-    engine: str = "batched",
 ) -> MDSResult:
     """Run SMACOF MDS on a dissimilarity matrix.
 
@@ -511,12 +414,6 @@ def smacof(
         Kruskal stress.
     seed:
         RNG seed for the random restarts.
-    engine:
-        ``"batched"`` (default) advances all restarts in lockstep on
-        vectorized kernels; ``"reference"`` runs the original sequential
-        scalar path.  Both produce the same result (coords within 1e-9,
-        same selected restart); the reference engine exists so that stays
-        a tested property rather than a one-time claim.
 
     Returns
     -------
@@ -533,5 +430,4 @@ def smacof(
         select_by=select_by,
         seed=seed,
         init=init,
-        engine=engine,
     )[0]

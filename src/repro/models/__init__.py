@@ -22,7 +22,7 @@ published descriptions:
 """
 
 from repro.models.arrivals import ClosedLoopArrivals, OpenLoopArrivals
-from repro.models.base import MODEL_ENGINES, WorkloadModel
+from repro.models.base import WorkloadModel
 from repro.models.feitelson96 import Feitelson96Model
 from repro.models.feitelson97 import Feitelson97Model
 from repro.models.downey import DowneyModel
@@ -41,7 +41,6 @@ from repro.models.validation import (
 
 __all__ = [
     "WorkloadModel",
-    "MODEL_ENGINES",
     "OpenLoopArrivals",
     "ClosedLoopArrivals",
     "Feitelson96Model",

@@ -139,12 +139,10 @@ class OpenLoopArrivals:
         model: WorkloadModel,
         n_jobs: int,
         seed: SeedLike = None,
-        *,
-        engine: Optional[str] = None,
     ) -> Workload:
         """Generate *n_jobs* jobs from *model* arriving via this process."""
         model_rng, arrival_rng = spawn_children(seed, 2)
-        stream = model.generate(n_jobs, seed=model_rng, engine=engine)
+        stream = model.generate(n_jobs, seed=model_rng)
         return _replace_columns(
             stream, "+open-loop", submit_time=self.sample_times(n_jobs, arrival_rng)
         )
@@ -174,8 +172,6 @@ class ClosedLoopArrivals:
         model: WorkloadModel,
         n_jobs: int,
         seed: SeedLike = None,
-        *,
-        engine: Optional[str] = None,
     ) -> Workload:
         """Generate *n_jobs* jobs from *model*, submitted by the closed loop.
 
@@ -185,7 +181,7 @@ class ClosedLoopArrivals:
         stance the generators share).
         """
         model_rng, arrival_rng = spawn_children(seed, 2)
-        stream = model.generate(n_jobs, seed=model_rng, engine=engine)
+        stream = model.generate(n_jobs, seed=model_rng)
         runtimes = stream.column("run_time")
         thinks = arrival_rng.exponential(self.mean_think_s, n_jobs)
 

@@ -6,22 +6,17 @@ all five models as "pure models" — jobs run immediately on submission (no
 queueing feedback), which is how repeated executions in the Feitelson
 models are scheduled.
 
-Every model runs on one of two **engines** sharing a single RNG draw
-schedule (the PR 5 pattern):
-
-* ``"batched"`` (default) — bulk NumPy sampling and array assembly, the
-  traffic-scale path;
-* ``"reference"`` — a per-job scalar Python loop kept permanently as the
-  equivalence oracle.  Streams are bit-for-bit identical between engines
-  (asserted in ``tests/models/test_engine_equivalence.py``), so the
-  reference both documents the generative process and pins the batched
-  rewrite down to the last ulp.
+Every model samples its stream with bulk NumPy draws and array
+assembly.  The Lublin, Feitelson 96/97, Jann and user-session samplers
+replaced per-job scalar loops; those loops consume the same draw plans
+and live on as bit-for-bit equivalence oracles in
+``tests/oracles/models.py``, which build their workloads through the same
+:meth:`WorkloadModel._assemble` step as :meth:`WorkloadModel.generate`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Optional
 
 import numpy as np
 
@@ -29,27 +24,15 @@ from repro.util.rng import SeedLike, as_generator
 from repro.workload.statistics import WorkloadStatistics, compute_statistics
 from repro.workload.workload import MachineInfo, Workload
 
-__all__ = ["WorkloadModel", "MODEL_ENGINES"]
-
-#: The two generation engines every model exposes.
-MODEL_ENGINES = ("batched", "reference")
-
-
-def check_engine(engine: str) -> str:
-    """Validate an engine name."""
-    if engine not in MODEL_ENGINES:
-        raise ValueError(f"engine must be one of {MODEL_ENGINES}, got {engine!r}")
-    return engine
+__all__ = ["WorkloadModel"]
 
 
 class WorkloadModel(abc.ABC):
     """Abstract synthetic workload model.
 
-    Subclasses implement :meth:`_generate_arrays` (the scalar reference
-    path) returning the three core job-stream arrays, and optionally
-    :meth:`_generate_arrays_batched` (the bulk path; defaults to the
-    reference).  This base class assembles them into a :class:`Workload`
-    and offers the Figure 4 statistics shortcut.
+    Subclasses implement :meth:`_generate_arrays` returning the three
+    core job-stream arrays.  This base class assembles them into a
+    :class:`Workload` and offers the Figure 4 statistics shortcut.
     """
 
     #: Display name used in the figures (subclasses override).
@@ -59,13 +42,10 @@ class WorkloadModel(abc.ABC):
         if machine_procs < 1:
             raise ValueError(f"machine_procs must be >= 1, got {machine_procs}")
         self.machine_procs = int(machine_procs)
-        #: Default generation engine; ``generate(engine=...)`` overrides
-        #: per call, :func:`repro.models.create_model` sets it per model.
-        self.engine: str = "batched"
 
     @abc.abstractmethod
     def _generate_arrays(self, n_jobs: int, rng: np.random.Generator) -> dict:
-        """Produce the raw job-stream columns (scalar reference path).
+        """Produce the raw job-stream columns.
 
         Must return a dict with at least ``submit_time`` (nondecreasing is
         not required; the workload is sorted), ``run_time`` and
@@ -73,39 +53,19 @@ class WorkloadModel(abc.ABC):
         (``user_id``, ``executable_id``...) are passed through.
         """
 
-    def _generate_arrays_batched(self, n_jobs: int, rng: np.random.Generator) -> dict:
-        """Bulk-sampled job-stream columns.
-
-        Must consume the RNG identically to :meth:`_generate_arrays` and
-        return bit-for-bit equal arrays.  The default delegates to the
-        reference, so models without a dedicated bulk path (Downey,
-        Feitelson 97, the parametric model) accept ``engine="batched"``
-        transparently.
-        """
-        return self._generate_arrays(n_jobs, rng)
-
-    def _resolve_engine(self, engine: Optional[str]) -> str:
-        return check_engine(self.engine if engine is None else engine)
-
-    def generate(
-        self, n_jobs: int, seed: SeedLike = None, *, engine: Optional[str] = None
-    ) -> Workload:
+    def generate(self, n_jobs: int, seed: SeedLike = None) -> Workload:
         """Generate a workload of *n_jobs* jobs.
 
         The result is sorted by submit time and carries the model's name as
-        both the workload and the machine name.  *engine* selects the
-        generation path (``"batched"``/``"reference"``, default the
-        model's :attr:`engine`); both paths produce identical streams for
-        the same seed.
+        both the workload and the machine name.
         """
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-        resolved = self._resolve_engine(engine)
-        rng = as_generator(seed)
-        if resolved == "batched":
-            arrays = self._generate_arrays_batched(int(n_jobs), rng)
-        else:
-            arrays = self._generate_arrays(int(n_jobs), rng)
+        return self._assemble(self._generate_arrays(int(n_jobs), as_generator(seed)))
+
+    def _assemble(self, arrays: dict) -> Workload:
+        """Check the raw columns, anchor the stream at t = 0 and build the
+        submit-sorted :class:`Workload`."""
         for required in ("submit_time", "run_time", "used_procs"):
             if required not in arrays:
                 raise RuntimeError(f"{type(self).__name__} did not produce {required!r}")
@@ -125,20 +85,14 @@ class WorkloadModel(abc.ABC):
         workload = Workload.from_arrays(machine=machine, name=self.name, **arrays)
         return workload.sorted_by_submit()
 
-    def statistics(
-        self,
-        n_jobs: int = 10000,
-        seed: SeedLike = 0,
-        *,
-        engine: Optional[str] = None,
-    ) -> WorkloadStatistics:
+    def statistics(self, n_jobs: int = 10000, seed: SeedLike = 0) -> WorkloadStatistics:
         """The model's Table 1-style variable vector from a generated stream.
 
         Only the eight model-comparable variables (order statistics of
         runtime, parallelism, CPU work and inter-arrival) are meaningful;
         the paper discards the rest when comparing models to logs.
         """
-        return compute_statistics(self.generate(n_jobs, seed=seed, engine=engine))
+        return compute_statistics(self.generate(n_jobs, seed=seed))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(machine_procs={self.machine_procs})"

@@ -180,7 +180,7 @@ class JannModel(WorkloadModel):
         return cls.fit(ctc)
 
     def _draw_blocks(self, n_jobs: int, rng: np.random.Generator) -> list:
-        """Per-range draw blocks shared by both engines.
+        """Per-range draw blocks, shared with the per-job oracle loop.
 
         Each size range runs its own renewal arrival process (the paper's
         per-range inter-arrival fits); the streams are then merged.  The
@@ -201,30 +201,6 @@ class JannModel(WorkloadModel):
         return blocks
 
     def _generate_arrays(self, n_jobs: int, rng: np.random.Generator) -> dict:
-        machine = self.machine_procs
-        submit = np.empty(n_jobs)
-        procs = np.empty(n_jobs, dtype=np.int64)
-        run_time = np.empty(n_jobs)
-        offset = 0
-        for cnt, sizes, runtimes, gap_arr in self._draw_blocks(n_jobs, rng):
-            gaps = gap_arr.tolist()
-            first = gaps[0]
-            acc = 0.0
-            for j in range(cnt):
-                # Renewal process anchored at the range's first arrival.
-                acc = acc + gaps[j]
-                submit[offset + j] = acc - first
-                procs[offset + j] = min(max(int(sizes[j]), 1), machine)
-                run_time[offset + j] = runtimes[j]
-            offset += cnt
-        return {
-            "submit_time": submit,
-            "run_time": run_time,
-            "used_procs": procs,
-            "wait_time": np.zeros(n_jobs),
-        }
-
-    def _generate_arrays_batched(self, n_jobs: int, rng: np.random.Generator) -> dict:
         submit = np.empty(n_jobs)
         procs = np.empty(n_jobs, dtype=np.int64)
         run_time = np.empty(n_jobs)

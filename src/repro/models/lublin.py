@@ -19,13 +19,14 @@ variables land at the centre of gravity of the production workloads —
 which is the model's documented position — rather than copied from the
 thesis tables, which are not available offline (DESIGN.md §4.3).
 
-Both engines consume one shared draw schedule (:meth:`_draw_blocks`) and
-then assemble the stream either with array operations (``"batched"``) or
-a per-job scalar loop (``"reference"``).  The assembly is restricted to
-operations that are bitwise identical between the scalar and vectorized
-paths (plain arithmetic, ``math.sin``/``math.cos``, banker's rounding,
-and size-1 ufunc calls for ``2**x``/``log2``), so the two engines agree
-to the last ulp — asserted per seed in the equivalence tests.
+The stream is assembled with array operations from one draw plan
+(:meth:`_draw_blocks`).  That assembly is restricted to operations that
+are bitwise identical between scalar and vectorized evaluation (plain
+arithmetic, banker's rounding, ``sin``/``cos``, ``2**x`` and ``log2``),
+so the per-job loop it replaced — kept as the equivalence oracle in
+``tests/oracles/models.py``, where it consumes the same plan with
+``math.sin``/``math.cos`` and size-1 ufunc calls — agrees with it to the
+last ulp, asserted per seed in the equivalence tests.
 
 The daily cycle is applied by inverting the cumulative intensity
 
@@ -34,10 +35,10 @@ The daily cycle is applied by inverting the cumulative intensity
 (``omega`` = 2*pi/day, ``theta`` the peak phase, ``A`` = amplitude/omega)
 at the unit-rate arrival times ``u = cumsum(gaps)``: the i-th arrival is
 ``t_i = Lambda^-1(u_i)``, so rush hours pack arrivals and nights spread
-them with the exact configured intensity rather than the forward-Euler
-approximation the scalar loop used previously.  The inverse is computed
-by a fixed, amplitude-derived number of contraction + Newton steps — no
-data-dependent early exit, which is what keeps the two engines in
+them with the exact configured intensity rather than a forward-Euler
+approximation.  The inverse is computed by a fixed, amplitude-derived
+number of contraction + Newton steps — no data-dependent early exit,
+which is what keeps the array inversion and the per-job oracle in
 lockstep.
 """
 
@@ -129,12 +130,12 @@ class LublinModel(WorkloadModel):
 
     # -- shared draw schedule ------------------------------------------------
     def _draw_blocks(self, n: int, rng: np.random.Generator) -> dict:
-        """Every random draw both engines consume, in one fixed order.
+        """Every random draw the stream consumes, in one fixed order.
 
-        Also computes the derived size/short-mask arrays the batched path
-        assembles from; the reference loop re-derives them per job from
-        the raw uniforms, so any divergence shows up as a block-pointer
-        mismatch in the equivalence tests.
+        Also computes the derived size/short-mask arrays the stream is
+        assembled from; the per-job oracle re-derives them from the raw
+        uniforms, so any divergence shows up as a block-pointer mismatch
+        in the equivalence tests.
         """
         b: dict = {}
         sizes = np.ones(n)
@@ -184,11 +185,6 @@ class LublinModel(WorkloadModel):
         return b
 
     # -- arrivals ------------------------------------------------------------
-    def _cycle_weight(self, t: float) -> float:
-        """Instantaneous intensity multiplier Lambda'(t) at time t."""
-        theta = 2.0 * math.pi * self.cycle_peak_hour / 24.0
-        return 1.0 + self.cycle_amplitude * math.cos(_OMEGA * t - theta)
-
     def _cycle_plan(self) -> tuple:
         """Deterministic inversion schedule ``(theta, A, C, n_fp, n_newton)``.
 
@@ -212,7 +208,7 @@ class LublinModel(WorkloadModel):
             n_fp += 1
         return theta, amp, offset, n_fp, 8
 
-    def _invert_cycle_batched(self, u: np.ndarray) -> np.ndarray:
+    def _invert_cycle(self, u: np.ndarray) -> np.ndarray:
         theta, amp, offset, n_fp, n_newton = self._cycle_plan()
         a = self.cycle_amplitude
         t = u.copy()
@@ -224,94 +220,14 @@ class LublinModel(WorkloadModel):
             t = t - f / w
         return t
 
-    # -- reference (scalar) assembly ----------------------------------------
-    def _sizes_reference(self, n: int, b: dict) -> np.ndarray:
-        sizes = np.empty(n, dtype=np.int64)
-        if self.machine_procs < 2:
-            sizes.fill(1)
-            return sizes
-        machine = float(self.machine_procs)
-        par_u = b["par_u"].tolist()
-        low_u = b["low_u"].tolist() if "low_u" in b else []
-        u_low = b["u_low"].tolist() if "u_low" in b else []
-        u_high = b["u_high"].tolist() if "u_high" in b else []
-        snap_u = b["snap_u"].tolist() if "snap_u" in b else []
-        arr1 = np.empty(1)
-        k = 0
-        for i in range(n):
-            if par_u[i] < self.serial_prob:
-                sizes[i] = 1
-                continue
-            u = u_low[k] if low_u[k] < self.size_low_prob else u_high[k]
-            lg = float(round(u)) if snap_u[k] < self.pow2_prob else u
-            k += 1
-            # Size-1 ufunc call: bitwise identical to the vectorized 2**x.
-            arr1[0] = lg
-            size = float(np.round(2.0**arr1)[0])
-            sizes[i] = int(min(max(size, 1.0), machine))
-        return sizes
-
-    def _runtimes_reference(self, n: int, b: dict, sizes: np.ndarray) -> np.ndarray:
-        out = np.empty(n)
-        gamma_short = b["gamma_short"]
-        gamma_long = b["gamma_long"]
-        short_u = b["short_u"].tolist()
-        denom = max(math.log2(self.machine_procs), 1.0)
-        base = self.p_short_base
-        slope = self.p_short_slope
-        arr1 = np.empty(1)
-        si = li = 0
-        for i in range(n):
-            arr1[0] = sizes[i]
-            log2_size = float(np.log2(arr1)[0])
-            p_short = min(max(base + slope * log2_size / denom, 0.05), 0.95)
-            if short_u[i] < p_short:
-                out[i] = gamma_short[si]
-                si += 1
-            else:
-                out[i] = gamma_long[li]
-                li += 1
-        return out
-
-    def _arrivals_reference(self, n: int, b: dict) -> np.ndarray:
-        theta, amp, offset, n_fp, n_newton = self._cycle_plan()
-        a = self.cycle_amplitude
-        gaps = b["gaps"].tolist()
-        submit = np.empty(n)
-        acc = 0.0
-        for i in range(n):
-            acc = acc + gaps[i]
-            t = acc
-            for _ in range(n_fp):
-                t = acc - (amp * math.sin(_OMEGA * t - theta) + offset)
-            for _ in range(n_newton):
-                f = t + (amp * math.sin(_OMEGA * t - theta) + offset) - acc
-                w = 1.0 + a * math.cos(_OMEGA * t - theta)
-                t = t - f / w
-            submit[i] = t
-        return submit - submit[0]
-
+    # -- assembly ------------------------------------------------------------
     def _generate_arrays(self, n_jobs: int, rng: np.random.Generator) -> dict:
-        b = self._draw_blocks(n_jobs, rng)
-        sizes = self._sizes_reference(n_jobs, b)
-        run_time = self._runtimes_reference(n_jobs, b, sizes)
-        submit = self._arrivals_reference(n_jobs, b)
-        return {
-            "submit_time": submit,
-            "run_time": run_time,
-            "used_procs": sizes,
-            "user_id": b["users"],
-            "wait_time": np.zeros(n_jobs),
-        }
-
-    # -- batched assembly ----------------------------------------------------
-    def _generate_arrays_batched(self, n_jobs: int, rng: np.random.Generator) -> dict:
         b = self._draw_blocks(n_jobs, rng)
         short = b["short"]
         run_time = np.empty(n_jobs)
         run_time[short] = b["gamma_short"]
         run_time[~short] = b["gamma_long"]
-        t = self._invert_cycle_batched(np.cumsum(b["gaps"]))
+        t = self._invert_cycle(np.cumsum(b["gaps"]))
         return {
             "submit_time": t - t[0],
             "run_time": run_time,

@@ -20,21 +20,19 @@ exhibit self-similarity to some degree."  This model realises both ideas:
   short-range-dependent stream, so the model doubles as a demonstration
   of *why* the paper found production logs self-similar.
 
-Generation is structured for the two-engine contract: every user owns an
-independent child RNG stream (:func:`repro.util.rng.spawn_children`), and
-a shared driver (:meth:`_materialize_users`) grows each user's timeline
-in session chunks until the first *n_jobs* events of the superposition
-are fully materialized (each user is capped at *n_jobs* own jobs, which
-both bounds heavy-tailed session draws and guarantees termination).  The
-engines then differ only in assembly: the reference rebuilds each user's
-timeline with a scalar accumulation loop and merges the users through a
-heap, while the batched engine uses per-user ``cumsum`` timelines and one
-global ``lexsort`` — bit-for-bit identical results.
+Every user owns an independent child RNG stream
+(:func:`repro.util.rng.spawn_children`), and :meth:`_materialize_users`
+grows each user's timeline in session chunks until the first *n_jobs*
+events of the superposition are fully materialized (each user is capped
+at *n_jobs* own jobs, which both bounds heavy-tailed session draws and
+guarantees termination).  The stream is then assembled from per-user
+``cumsum`` timelines and one global ``lexsort``.  The scalar version of
+that assembly — per-user accumulation loops merged through a heap — is
+the bit-for-bit equivalence oracle in ``tests/oracles/models.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import List
@@ -266,83 +264,6 @@ class UserSessionModel(WorkloadModel):
     # -- generation --------------------------------------------------------
     def _generate_arrays(self, n_jobs: int, rng: np.random.Generator) -> dict:
         profiles, users = self._prepare(n_jobs, rng)
-        submit = np.empty(n_jobs)
-        run_time = np.empty(n_jobs)
-        procs = np.empty(n_jobs, dtype=np.int64)
-        user_col = np.empty(n_jobs, dtype=np.int64)
-        execs = np.empty(n_jobs, dtype=np.int64)
-        think = np.empty(n_jobs)
-
-        machine = self.machine_procs
-        streams = []
-        for u in users:
-            streams.append(
-                {
-                    "lengths": np.concatenate(u["lengths"]).tolist(),
-                    "runtimes": np.concatenate(u["runtimes"]).tolist(),
-                    "thinks": np.concatenate(u["thinks"]).tolist(),
-                    "idles": np.concatenate(u["idles"]).tolist(),
-                }
-            )
-
-        # Rebuild each user's timeline with a scalar accumulation loop (the
-        # oracle for the vectorized cumsum path), then k-way merge through a
-        # heap keyed on (submit, user) — ties resolve to the smaller user id
-        # and then submission order, exactly like the batched lexsort.
-        submits_scalar = []
-        for s in streams:
-            lengths = s["lengths"]
-            runtimes = s["runtimes"]
-            thinks = s["thinks"]
-            idles = s["idles"]
-            out = []
-            pos = 0
-            clock = 0.0
-            for sess, length in enumerate(lengths):
-                clock = clock + (idles[sess] if sess == 0 else 0.0)
-                for k in range(length):
-                    if pos > 0:
-                        prev_gap = (
-                            idles[sess] if k == 0 else thinks[pos - 1]
-                        )
-                        # Grouped like the vectorized runtimes + gaps then
-                        # cumsum, so the floating-point sums agree exactly.
-                        clock = clock + (runtimes[pos - 1] + prev_gap)
-                    out.append(clock)
-                    pos += 1
-            submits_scalar.append(out)
-
-        heap = [(subs[0], uid, 0) for uid, subs in enumerate(submits_scalar)]
-        heapq.heapify(heap)
-        filled = 0
-        while filled < n_jobs:
-            when, uid, pos = heapq.heappop(heap)
-            profile = profiles[uid]
-            s = streams[uid]
-            submit[filled] = when
-            run_time[filled] = s["runtimes"][pos]
-            procs[filled] = min(max(profile.size, 1), machine)
-            user_col[filled] = profile.user_id
-            execs[filled] = profile.executable_id
-            think[filled] = s["thinks"][pos]
-            filled += 1
-            nxt = pos + 1
-            subs = submits_scalar[uid]
-            if nxt < len(subs):
-                heapq.heappush(heap, (subs[nxt], uid, nxt))
-
-        return {
-            "submit_time": submit,
-            "run_time": run_time,
-            "used_procs": procs,
-            "user_id": user_col,
-            "executable_id": execs,
-            "think_time": think,
-            "wait_time": np.zeros(n_jobs),
-        }
-
-    def _generate_arrays_batched(self, n_jobs: int, rng: np.random.Generator) -> dict:
-        profiles, users = self._prepare(n_jobs, rng)
         all_submit = np.concatenate([u["submits"] for u in users])
         all_runtime = np.concatenate(
             [np.concatenate(u["runtimes"]) for u in users]
@@ -353,7 +274,8 @@ class UserSessionModel(WorkloadModel):
         sizes = np.array([p.size for p in profiles], dtype=np.int64)
 
         # Global merge: submit ascending, ties by user id then (stable)
-        # within-user submission order — the heap's exact pop order.
+        # within-user submission order — the pop order of the oracle's
+        # heap merge.
         order = np.lexsort((all_uid, all_submit))[:n_jobs]
         uid = all_uid[order]
         return {

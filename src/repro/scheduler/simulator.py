@@ -6,17 +6,14 @@ machine-level traces.  The loop is the classic two-event-source design:
 job arrivals and job completions; the scheduler is consulted after every
 event batch.
 
-Two implementations share the event semantics bit for bit:
-
-* :func:`simulate` — the array-fast loop: bulk allocator validation
-  (:meth:`~repro.scheduler.allocator.ProcessorAllocator.validate_array`),
-  pre-extracted Python scalars for the per-event hot path, bisect-batched
-  arrivals, a deque queue with a prefix fast path, preallocated depth
-  buffers, and a skipped policy call when no processor is free;
-* :func:`simulate_reference` — the original per-event loop, kept
-  permanently as the equivalence oracle
-  (``tests/scheduler/test_simulator_equivalence.py`` asserts identical
-  schedules across policies and seeds).
+:func:`simulate` is an array-fast loop: bulk allocator validation
+(:meth:`~repro.scheduler.allocator.ProcessorAllocator.validate_array`),
+pre-extracted Python scalars for the per-event hot path, bisect-batched
+arrivals, a deque queue with a prefix fast path, preallocated depth
+buffers, and a skipped policy call when no processor is free.  The
+original per-event loop it replaced is the equivalence oracle in
+``tests/oracles/simulator.py``; ``tests/scheduler/test_simulator_equivalence.py``
+asserts identical schedules across policies and seeds.
 
 The fast path relies on the documented :class:`Scheduler` contract:
 ``select`` is a pure function of its arguments (it must not mutate the
@@ -39,7 +36,7 @@ from repro.scheduler.policies import QueuedJob, Scheduler
 from repro.workload.fields import MISSING
 from repro.workload.workload import Workload
 
-__all__ = ["ScheduleResult", "simulate", "simulate_reference"]
+__all__ = ["ScheduleResult", "simulate"]
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,7 @@ def simulate(
     scheduler:
         The policy deciding which queued jobs start.  ``select`` must be a
         pure function of its arguments and select nothing when no
-        processor is free (the built-in policies all comply); policies
-        violating that contract should run under
-        :func:`simulate_reference`.
+        processor is free (the built-in policies all comply).
     allocator:
         Maps requested to consumed processors.  Defaults to the allocator
         implied by the workload machine's allocation-flexibility rank
@@ -254,93 +249,6 @@ def simulate(
         consumed=consumed,
         queue_depth_times=depth_times[:n_events].copy(),
         queue_depths=depths[:n_events].copy(),
-        machine_procs=machine.processors,
-        scheduler_name=scheduler.name,
-    )
-
-
-def simulate_reference(
-    workload: Workload,
-    scheduler: Scheduler,
-    allocator: Optional[ProcessorAllocator] = None,
-    *,
-    estimate_factor: float = 1.0,
-) -> ScheduleResult:
-    """The original per-event simulation loop, kept as the oracle for
-    :func:`simulate` (same signature, bit-identical results)."""
-    if estimate_factor <= 0:
-        raise ValueError(f"estimate_factor must be > 0, got {estimate_factor}")
-    machine, allocator, submit, runtime, requested = _prepare(workload, allocator)
-    n = submit.shape[0]
-    consumed = np.array(
-        [allocator.validate(int(s), machine.processors) for s in requested],
-        dtype=np.int64,
-    )
-
-    start = np.full(n, np.nan)
-    free = machine.processors
-    running: List[Tuple[float, int]] = []  # heap of (end, size)
-    queue: List[QueuedJob] = []
-    depth_times: List[float] = []
-    depths: List[int] = []
-
-    next_arrival = 0
-    while next_arrival < n or queue or running:
-        # Advance the clock to the next event.
-        candidates = []
-        if next_arrival < n:
-            candidates.append(submit[next_arrival])
-        if running:
-            candidates.append(running[0][0])
-        if not candidates:  # pragma: no cover - queue nonempty implies events
-            break
-        clock = min(candidates)
-
-        # Process completions at or before the clock.
-        while running and running[0][0] <= clock:
-            _, size = heapq.heappop(running)
-            free += size
-
-        # Process arrivals at or before the clock.
-        while next_arrival < n and submit[next_arrival] <= clock:
-            i = next_arrival
-            queue.append(
-                QueuedJob(
-                    index=i,
-                    submit=float(submit[i]),
-                    size=int(consumed[i]),
-                    runtime=float(runtime[i]),
-                    estimate=float(runtime[i]) * estimate_factor,
-                )
-            )
-            next_arrival += 1
-
-        # Let the policy start jobs.
-        if queue:
-            to_start = scheduler.select(clock, queue, free, list(running))
-            if to_start:
-                chosen = {job.index for job in to_start}
-                total = sum(job.size for job in to_start)
-                if total > free:  # pragma: no cover - defensive policy check
-                    raise RuntimeError(
-                        f"{scheduler.name} oversubscribed: {total} > {free} free"
-                    )
-                for job in to_start:
-                    start[job.index] = clock
-                    heapq.heappush(running, (clock + job.runtime, job.size))
-                free -= total
-                queue = [job for job in queue if job.index not in chosen]
-
-        depth_times.append(clock)
-        depths.append(len(queue))
-
-    return ScheduleResult(
-        submit=submit,
-        start=start,
-        runtime=runtime,
-        consumed=consumed,
-        queue_depth_times=np.asarray(depth_times),
-        queue_depths=np.asarray(depths, dtype=np.int64),
         machine_procs=machine.processors,
         scheduler_name=scheduler.name,
     )

@@ -16,8 +16,8 @@ which is what we implement.)
 :func:`rs_pox_points` evaluates each window size as one gathered
 ``(n_windows, size)`` matrix so the R/S statistics of all starts come out
 of a handful of row-wise reductions instead of a Python loop per window;
-:func:`rs_pox_points_reference` keeps the original per-window loop as the
-equivalence oracle.
+the per-window loop it replaced is the equivalence oracle in
+``tests/oracles/hurst.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.util.validation import check_1d
 __all__ = [
     "rs_statistic",
     "rs_pox_points",
-    "rs_pox_points_reference",
     "hurst_rs",
 ]
 
@@ -116,29 +115,6 @@ def rs_pox_points(
     if not log_ns:
         return np.asarray([]), np.asarray([])
     return np.concatenate(log_ns), np.concatenate(log_rs)
-
-
-def rs_pox_points_reference(
-    x,
-    *,
-    min_window: int = 8,
-    n_sizes: int = 20,
-    max_starts: int = 16,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Original per-window loop, kept as the equivalence oracle."""
-    arr = check_1d(x, "x", min_len=2 * min_window)
-    n = arr.shape[0]
-    log_ns: List[float] = []
-    log_rs: List[float] = []
-    for size in _window_sizes(n, min_window, n_sizes):
-        n_windows = min(n // size, max_starts)
-        starts = np.linspace(0, n - size, n_windows).astype(int)
-        for start in starts:
-            value = rs_statistic(arr[start : start + size])
-            if np.isfinite(value) and value > 0:
-                log_ns.append(np.log(size))
-                log_rs.append(np.log(value))
-    return np.asarray(log_ns), np.asarray(log_rs)
 
 
 def hurst_rs(

@@ -26,11 +26,12 @@ per-line Python loop — and is taken only when it provably matches the
 reference scan: comments confined to the leading header block, ordinary
 newlines, and a clean uniform job table.  Anything else (a malformed
 token, ragged records, mid-file comments, exotic line separators) falls
-back to :func:`parse_swf_text_reference`, the original per-line parser,
-so ``on_error`` policies, short-record padding and ``SwfParseError`` line
-numbers are preserved bit for bit.  NumPy's tokenizer accepts a strict
-subset of Python ``float`` syntax, so the fallback is the only direction
-the two paths can disagree in.
+back to the original per-line scan (``_scan_reference``), so ``on_error``
+policies, short-record padding and ``SwfParseError`` line numbers are
+preserved bit for bit.  NumPy's tokenizer accepts a strict subset of
+Python ``float`` syntax, so the fallback is the only direction the two
+paths can disagree in.  Wrappers that take the per-line scan for every
+input are the equivalence oracles in ``tests/oracles/swf.py``.
 """
 
 from __future__ import annotations
@@ -50,12 +51,9 @@ from repro.workload.workload import MachineInfo, Workload
 __all__ = [
     "SwfParseError",
     "read_swf",
-    "read_swf_reference",
     "write_swf",
     "parse_swf_text",
-    "parse_swf_text_reference",
     "render_swf_text",
-    "render_swf_text_reference",
 ]
 
 #: Accepted ``on_error`` policies for the SWF reader.
@@ -402,32 +400,6 @@ def parse_swf_text(
     return _build_workload(headers, columns, errors, name, machine, on_error)
 
 
-def parse_swf_text_reference(
-    text: str,
-    *,
-    name: Optional[str] = None,
-    machine: Optional[MachineInfo] = None,
-    on_error: str = "raise",
-) -> Workload:
-    """:func:`parse_swf_text` on the original per-line scan, always.
-
-    The benchmark harness measures the fast path against this, and the
-    equivalence property tests assert both parsers agree on columns,
-    parse errors and error line numbers — keeping the fast path honest
-    permanently rather than at review time.
-    """
-    if on_error not in _ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
-        )
-    with obs_span("swf.parse", on_error=on_error) as _sp:
-        headers, columns, errors = _scan_reference(text, on_error)
-        _sp.set(
-            jobs=int(columns["job_id"].shape[0]), bad_lines=len(errors), fast=False
-        )
-    return _build_workload(headers, columns, errors, name, machine, on_error)
-
-
 def read_swf(
     path: Union[str, os.PathLike, TextIO],
     *,
@@ -458,26 +430,6 @@ def read_swf(
     return parse_swf_text(
         raw.decode("utf-8"), name=name, machine=machine, on_error=on_error
     )
-
-
-def read_swf_reference(
-    path: Union[str, os.PathLike, TextIO],
-    *,
-    name: Optional[str] = None,
-    machine: Optional[MachineInfo] = None,
-    on_error: str = "raise",
-) -> Workload:
-    """:func:`read_swf` on the original per-line scan, always.
-
-    The perf benchmark's ingest baseline: file bytes -> text -> per-line
-    ``float()`` parse, exactly as the reader worked before the bulk path.
-    """
-    if hasattr(path, "read"):
-        return parse_swf_text_reference(
-            path.read(), name=name, machine=machine, on_error=on_error
-        )
-    text = _read_raw_bytes(path).decode("utf-8")
-    return parse_swf_text_reference(text, name=name, machine=machine, on_error=on_error)
 
 
 def _read_raw_bytes(path: Union[str, os.PathLike]) -> bytes:
@@ -555,7 +507,9 @@ def render_swf_text(workload: Workload, *, headers: Optional[Dict[str, str]] = N
     Job rows are produced by bulk column formatting — one vectorized
     string conversion per SWF field instead of 18 Python-level ``render``
     calls per job — so the write path keeps pace with the bulk reader.
-    Output is byte-identical to :func:`render_swf_text_reference`.
+    Output is byte-identical to the per-row renderer
+    (``_render_rows_reference``), which still renders tables holding
+    non-finite or huge values.
     """
     buf = io.StringIO()
     for key, value in _merged_headers(workload, headers).items():
@@ -569,17 +523,6 @@ def render_swf_text(workload: Workload, *, headers: Optional[Dict[str, str]] = N
             table[:, j] = col
         row_fmt = "%s " * (len(SWF_FIELDS) - 1) + "%s\n"
         buf.write((row_fmt * len(workload)) % tuple(table.ravel().tolist()))
-    return buf.getvalue()
-
-
-def render_swf_text_reference(
-    workload: Workload, *, headers: Optional[Dict[str, str]] = None
-) -> str:
-    """:func:`render_swf_text` on the original scalar row loop, always."""
-    buf = io.StringIO()
-    for key, value in _merged_headers(workload, headers).items():
-        buf.write(f"; {key}: {value}\n")
-    _render_rows_reference(workload, buf)
     return buf.getvalue()
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from repro.coplot import Coplot, bootstrap_stability, project_observation
 
+from oracles.bootstrap import bootstrap_stability_reference
+
 
 @pytest.fixture(scope="module")
 def fitted():
@@ -111,8 +113,8 @@ class TestBootstrapEngines:
     def test_engines_agree(self, seed):
         rng = np.random.default_rng(7)
         y = rng.normal(size=(12, 16)) + np.linspace(0, 3, 16)
-        ref = bootstrap_stability(y, n_boot=6, seed=seed, engine="reference")
-        fast = bootstrap_stability(y, n_boot=6, seed=seed, engine="batched")
+        ref = bootstrap_stability_reference(y, n_boot=6, seed=seed)
+        fast = bootstrap_stability(y, n_boot=6, seed=seed)
         assert ref.labels == fast.labels
         np.testing.assert_allclose(
             ref.positional_spread, fast.positional_spread, atol=1e-10
@@ -125,8 +127,8 @@ class TestBootstrapEngines:
         y = rng.normal(size=(10, 12)) + np.linspace(0, 2, 12)
         y[2, 4] = np.nan
         y[7, 9] = np.nan
-        ref = bootstrap_stability(y, n_boot=4, seed=1, engine="reference")
-        fast = bootstrap_stability(y, n_boot=4, seed=1, engine="batched")
+        ref = bootstrap_stability_reference(y, n_boot=4, seed=1)
+        fast = bootstrap_stability(y, n_boot=4, seed=1)
         np.testing.assert_allclose(
             ref.positional_spread, fast.positional_spread, atol=1e-10
         )
@@ -135,16 +137,11 @@ class TestBootstrapEngines:
         rng = np.random.default_rng(9)
         y = rng.normal(size=(9, 10))
         cp = Coplot(n_init=3, transform="isotonic", seed=4, ddof=1)
-        ref = bootstrap_stability(y, n_boot=4, coplot=cp, seed=2, engine="reference")
-        fast = bootstrap_stability(y, n_boot=4, coplot=cp, seed=2, engine="batched")
+        ref = bootstrap_stability_reference(y, n_boot=4, coplot=cp, seed=2)
+        fast = bootstrap_stability(y, n_boot=4, coplot=cp, seed=2)
         np.testing.assert_allclose(
             ref.positional_spread, fast.positional_spread, atol=1e-10
         )
-
-    def test_invalid_engine(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="engine"):
-            bootstrap_stability(rng.normal(size=(8, 6)), engine="warp")
 
 
 class TestProjectionDissimVectorized:

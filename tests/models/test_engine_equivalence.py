@@ -1,10 +1,10 @@
-"""Bit-for-bit equivalence of the batched model samplers vs their scalar
-reference oracles.
+"""Bit-for-bit equivalence of the vectorized model samplers vs their
+per-job scalar oracles.
 
-Every model that grew an ``engine="batched"`` sampler keeps its original
-scalar generation loop as ``engine="reference"``; these tests pin the
-tentpole claim that both consume the identical RNG stream and emit the
-identical job arrays — not approximately, bitwise.
+Every model whose sampler replaced a per-job loop keeps that loop in
+``tests/oracles/models.py``; these tests pin the claim that both consume
+the identical RNG stream and emit the identical job arrays — not
+approximately, bitwise.
 """
 
 import numpy as np
@@ -15,9 +15,10 @@ from repro.models import (
     JannModel,
     LublinModel,
     UserSessionModel,
-    create_model,
 )
 from repro.workload.fields import FIELD_NAMES
+
+from oracles.models import generate_reference
 
 SEEDS = list(range(5))
 
@@ -32,8 +33,8 @@ def assert_streams_identical(a, b):
 
 def both(model, n_jobs, seed):
     return (
-        model.generate(n_jobs, seed=seed, engine="batched"),
-        model.generate(n_jobs, seed=seed, engine="reference"),
+        model.generate(n_jobs, seed=seed),
+        generate_reference(model, n_jobs, seed=seed),
     )
 
 
@@ -97,23 +98,3 @@ class TestUserSessionEquivalence:
         assert_streams_identical(
             *both(UserSessionModel(n_users=8, machine_procs=1), 600, 2)
         )
-
-
-class TestEngineSelection:
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            LublinModel().generate(10, seed=0, engine="turbo")
-
-    def test_registry_threads_engine(self):
-        m = create_model("Lublin", engine="reference")
-        assert m.engine == "reference"
-        assert_streams_identical(
-            m.generate(300, seed=5), LublinModel().generate(300, seed=5)
-        )
-
-    def test_per_call_engine_overrides_instance(self):
-        m = LublinModel()
-        m.engine = "reference"
-        a = m.generate(300, seed=6, engine="batched")
-        b = LublinModel().generate(300, seed=6)
-        assert_streams_identical(a, b)

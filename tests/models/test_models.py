@@ -272,6 +272,12 @@ class TestRegistry:
             assert isinstance(model, WorkloadModel)
             assert model.name == name
 
+    def test_create_model_uses_default_parameters(self):
+        a = create_model("Lublin").generate(300, seed=5)
+        b = LublinModel().generate(300, seed=5)
+        for name in ("submit_time", "run_time", "used_procs", "user_id"):
+            np.testing.assert_array_equal(a.column(name), b.column(name))
+
     def test_unknown_name(self):
         with pytest.raises(KeyError, match="unknown model"):
             create_model("Mystery")

@@ -5,7 +5,7 @@ The fast :func:`~repro.scheduler.simulator.simulate` replaces per-job
 allocator validation with one bulk call, batches arrival handling, skips
 provably-empty policy calls, and preallocates its trace buffers — none of
 which may change a single scheduled time.  Every check here asserts exact
-array equality against :func:`~repro.scheduler.simulator.simulate_reference`.
+array equality against the per-event oracle in ``tests/oracles/simulator.py``.
 """
 
 import numpy as np
@@ -19,9 +19,10 @@ from repro.scheduler import (
     PowerOfTwoAllocator,
     UnlimitedAllocator,
     simulate,
-    simulate_reference,
 )
 from repro.workload.workload import MachineInfo, Workload
+
+from oracles.simulator import simulate_reference
 
 POLICIES = [FcfsScheduler, EasyBackfillScheduler, ConservativeBackfillScheduler]
 SEEDS = list(range(5))

@@ -12,16 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.selfsim.rs_analysis import (
-    _rs_rows,
-    rs_pox_points,
-    rs_pox_points_reference,
-    rs_statistic,
-)
-from repro.selfsim.variance_time import (
-    variance_time_points,
-    variance_time_points_reference,
-)
+from repro.selfsim.rs_analysis import _rs_rows, rs_pox_points, rs_statistic
+from repro.selfsim.variance_time import variance_time_points
+
+from oracles.hurst import rs_pox_points_reference, variance_time_points_reference
 
 
 def _series(seed, n, walk=True):

@@ -69,6 +69,54 @@ class TestDocstrings:
         assert not missing, f"modules without docstrings: {missing}"
 
 
+def _package_modules(pkg_name):
+    """A package and its direct submodules."""
+    pkg = importlib.import_module(pkg_name)
+    yield pkg
+    for info in pkgutil.iter_modules(getattr(pkg, "__path__", [])):
+        yield importlib.import_module(f"{pkg_name}.{info.name}")
+
+
+def _public_callables(module):
+    """(qualified name, callable) for each public function and each public
+    method (or ``__init__``) of each public class in *module*."""
+    for name, obj in _public_objects(module):
+        if inspect.isfunction(obj):
+            yield f"{module.__name__}.{name}", obj
+        elif inspect.isclass(obj):
+            for attr, member in inspect.getmembers(obj):
+                if (attr == "__init__" or not attr.startswith("_")) and (
+                    inspect.isfunction(member) or inspect.ismethod(member)
+                ):
+                    yield f"{module.__name__}.{name}.{attr}", member
+
+
+class TestSinglePath:
+    """Each kernel and model ships one product path.  Scalar oracles live
+    in ``tests/oracles``, so no public signature selects an engine and no
+    public name is a ``*_reference`` implementation."""
+
+    @pytest.mark.parametrize("pkg", PACKAGES)
+    def test_no_engine_parameter(self, pkg):
+        offenders = [
+            qual
+            for module in _package_modules(pkg)
+            for qual, fn in _public_callables(module)
+            if "engine" in inspect.signature(fn).parameters
+        ]
+        assert not offenders, f"public signatures taking engine=: {offenders}"
+
+    @pytest.mark.parametrize("pkg", PACKAGES)
+    def test_no_reference_exports(self, pkg):
+        offenders = [
+            f"{module.__name__}.{name}"
+            for module in _package_modules(pkg)
+            for name in getattr(module, "__all__", [])
+            if name.endswith("_reference")
+        ]
+        assert not offenders, f"public *_reference names: {offenders}"
+
+
 class TestExperimentRegistry:
     def test_registry_matches_docs(self):
         from repro.experiments import EXPERIMENTS

@@ -19,12 +19,15 @@ from repro.workload.swf import (
     _scan_bytes,
     _scan_fast,
     parse_swf_text,
-    parse_swf_text_reference,
     read_swf,
-    read_swf_reference,
     render_swf_text,
-    render_swf_text_reference,
     write_swf,
+)
+
+from oracles.swf import (
+    parse_swf_text_reference,
+    read_swf_reference,
+    render_swf_text_reference,
 )
 
 CLEAN = """\
