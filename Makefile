@@ -9,7 +9,7 @@ install:
 	pip install -e .[test]
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
 
 # Static analysis: the self-hosted determinism linter is the hard gate;
 # ruff/mypy run when installed (CI installs them) and are skipped
@@ -66,7 +66,7 @@ chaos:
 	fi
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Trace-overhead budget: bounds streaming-observability cost on the
 # quick suite (< 5%) and records the numbers in BENCH_obs.json.
@@ -93,20 +93,20 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) --seconds 15 --trace $(TRACE)
 
 experiments:
-	$(PYTHON) -m repro.experiments --jobs $(JOBS) --out results --report results/SCORECARD.md
+	PYTHONPATH=src $(PYTHON) -m repro.experiments --jobs $(JOBS) --out results --report results/SCORECARD.md
 
 # Parallel quick run with scorecard; exits nonzero on claim misses or
 # experiment failures (the CI gate).
 experiments-quick:
-	$(PYTHON) -m repro.experiments --quick --jobs $(JOBS) --out results/quick \
+	PYTHONPATH=src $(PYTHON) -m repro.experiments --quick --jobs $(JOBS) --out results/quick \
 		--report results/SCORECARD-quick.md --trace results/trace-quick.jsonl
 
 quick:
-	$(PYTHON) -m repro.experiments --quick --jobs $(JOBS)
+	PYTHONPATH=src $(PYTHON) -m repro.experiments --quick --jobs $(JOBS)
 
 # Materialize the synthesized workloads archive as .swf.gz files.
 archive:
-	$(PYTHON) -c "from repro.archive import export_archive; export_archive('archive_swf', include_sublogs=True)"
+	PYTHONPATH=src $(PYTHON) -c "from repro.archive import export_archive; export_archive('archive_swf', include_sublogs=True)"
 
 clean:
 	rm -rf results archive_swf .pytest_cache .benchmarks

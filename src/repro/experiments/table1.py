@@ -89,8 +89,7 @@ class Table1Result:
 
 def run_table1(*, n_jobs: int = 20000, seed: SeedLike = 0) -> Table1Result:
     """Synthesize all ten production workloads and compare to Table 1."""
-    with span("table1.synthesize", n_jobs=n_jobs):
-        workloads = synthesize_all(n_jobs=n_jobs, seed=seed)
+    workloads = synthesize_all(n_jobs=n_jobs, seed=seed)
     with span("table1.statistics", workloads=len(workloads)):
         measured = {name: compute_statistics(w) for name, w in workloads.items()}
     targets = {name: dict(TABLE1[name]) for name in PRODUCTION_NAMES}

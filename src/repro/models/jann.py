@@ -19,7 +19,7 @@ synthesized log, mirroring exactly how the original tables were produced
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,6 +83,12 @@ class JannRangeParameters:
     sizes: Discrete  #: empirical size distribution within the range
     runtime: Distribution  #: hyper-Erlang (or fallback) runtime distribution
     interarrival: Optional[Distribution] = None
+
+
+#: Per integer seed, what :meth:`JannModel.default` fitted: its size
+#: ranges, global inter-arrival fit and machine size.  The synthesized
+#: log it was fitted to is not kept.
+_DEFAULT_FITS: Dict[int, Tuple[Tuple[JannRangeParameters, ...], Distribution, int]] = {}
 
 
 class JannModel(WorkloadModel):
@@ -171,13 +177,22 @@ class JannModel(WorkloadModel):
     def default(cls, seed: SeedLike = 7) -> "JannModel":
         """The model fitted to this reproduction's CTC-equivalent log.
 
-        Imported lazily to keep :mod:`repro.models` independent of
+        An integer *seed* fixes the fit, so it is made once per process
+        and every later call builds a new model from it.  The synthesizer
+        is imported lazily to keep :mod:`repro.models` independent of
         :mod:`repro.archive`.
         """
         from repro.archive import synthesize_workload
 
-        ctc = synthesize_workload("CTC", seed=seed)
-        return cls.fit(ctc)
+        key = int(seed) if isinstance(seed, (int, np.integer)) else None
+        fit = _DEFAULT_FITS.get(key) if key is not None else None
+        if fit is None:
+            model = cls.fit(synthesize_workload("CTC", seed=seed))
+            fit = (tuple(model.ranges), model.interarrival, model.machine_procs)
+            if key is not None:
+                _DEFAULT_FITS[key] = fit
+        ranges, interarrival, machine_procs = fit
+        return cls(ranges, interarrival, machine_procs=machine_procs)
 
     def _draw_blocks(self, n_jobs: int, rng: np.random.Generator) -> list:
         """Per-range draw blocks, shared with the per-job oracle loop.

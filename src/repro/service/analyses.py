@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.archive.synthesize import MIN_N_JOBS, synthesize_workload
 from repro.archive.targets import PRODUCTION_NAMES, TABLE1, TABLE2_NAMES
 from repro.coplot.model import Coplot, CoplotResult
 from repro.coplot.render import coplot_to_csv, coplot_to_svg_bytes
@@ -117,7 +118,7 @@ def _parse_input(doc: Any, kind: str, upload_digest: Optional[str]) -> Dict[str,
                  f"unknown workload {name!r}; known: {', '.join(_NAMED_WORKLOADS)}")
         return {
             "workload": name,
-            "n_jobs": _int_param(doc, "n_jobs", 2000, low=1),
+            "n_jobs": _int_param(doc, "n_jobs", 2000, low=MIN_N_JOBS),
             "seed": _int_param(doc, "seed", 0),
         }
     if form == "model":
@@ -253,8 +254,6 @@ def _load_workload(spec: AnalysisSpec, uploads_dir: str) -> Workload:
         except ValueError as exc:
             raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
     if "workload" in source:
-        from repro.archive.synthesize import synthesize_workload
-
         return synthesize_workload(
             source["workload"], n_jobs=source["n_jobs"], seed=source["seed"]
         )

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.archive import spec_for, synthesize_all, synthesize_workload
-from repro.archive.targets import PRODUCTION_NAMES, TABLE1, hurst_target
+from repro.archive import spec_for, synthesize, synthesize_all, synthesize_workload
+from repro.archive.targets import PRODUCTION_NAMES, TABLE1, TABLE2_NAMES, hurst_target
+from repro.obs import ListSink, Tracer, reset_tracer, set_tracer
 from repro.selfsim import hurst_summary, workload_series
 from repro.workload import compute_statistics
 
@@ -137,6 +138,73 @@ class TestSynthesizeAll:
         a = logs["LANL"].column("run_time")
         b = logs["LANLb"].column("run_time")
         assert not np.array_equal(a, b)
+
+
+class TestArchiveMemo:
+    """An integer-seeded archive is synthesized once per process; the memo
+    is emptied before each test by the suite's autouse fixture."""
+
+    @pytest.fixture
+    def synthesized(self, monkeypatch):
+        """Names passed to ``synthesize_workload``, counted through the
+        module attribute ``synthesize_all`` calls (the one perfbench wraps)."""
+        names = []
+        real = synthesize.synthesize_workload
+
+        def counting(name, **kwargs):
+            names.append(name)
+            return real(name, **kwargs)
+
+        monkeypatch.setattr(synthesize, "synthesize_workload", counting)
+        return names
+
+    def test_repeat_call_synthesizes_once(self, synthesized):
+        synthesize_all(n_jobs=500, seed=0)
+        synthesize_all(n_jobs=500, seed=0)
+        assert len(synthesized) == 10
+
+    def test_calls_share_workloads_not_dicts(self, synthesized):
+        a = synthesize_all(n_jobs=500, seed=0)
+        b = synthesize_all(n_jobs=500, seed=0)
+        assert a is not b
+        assert all(a[name] is b[name] for name in PRODUCTION_NAMES)
+        a.pop("CTC")
+        c = synthesize_all(n_jobs=500, seed=0)
+        assert list(c) == list(PRODUCTION_NAMES)
+        assert c["CTC"] is b["CTC"]
+        assert len(synthesized) == 10
+
+    def test_unseeded_and_generator_seeds_are_never_shared(self, synthesized):
+        synthesize_all(n_jobs=500, seed=None)
+        synthesize_all(n_jobs=500, seed=None)
+        assert len(synthesized) == 20
+        synthesize_all(n_jobs=500, seed=np.random.default_rng(0))
+        synthesize_all(n_jobs=500, seed=np.random.default_rng(0))
+        assert len(synthesized) == 40
+
+    def test_other_arguments_recompute(self, synthesized):
+        synthesize_all(n_jobs=500, seed=0)
+        synthesize_all(n_jobs=600, seed=0)
+        synthesize_all(n_jobs=600, seed=1)
+        synthesize_all(n_jobs=600, seed=1, include_sublogs=True)
+        assert len(synthesized) == 10 + 10 + 10 + 10 + len(TABLE2_NAMES)
+        # One entry: the first archive is gone.
+        synthesize_all(n_jobs=500, seed=0)
+        assert len(synthesized) == 50 + len(TABLE2_NAMES)
+
+    def test_span_marks_a_shared_archive(self):
+        sink = ListSink()
+        token = set_tracer(Tracer(sink))
+        try:
+            synthesize_all(n_jobs=500, seed=0)
+            synthesize_all(n_jobs=500, seed=0)
+        finally:
+            reset_tracer(token)
+        spans = [r for r in sink.records if r["name"] == "archive.synthesize"]
+        assert [(s["n_jobs"], s["logs"], s["shared"]) for s in spans] == [
+            (500, 10, False),
+            (500, 10, True),
+        ]
 
 
 class TestExportArchive:

@@ -17,6 +17,17 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
+@pytest.fixture(autouse=True)
+def fresh_synthesis_memos(monkeypatch):
+    """Start every test with empty archive and Jann-fit memos, so no test
+    depends on what an earlier one synthesized in this process."""
+    from repro.archive import synthesize
+    from repro.models import jann
+
+    monkeypatch.setattr(synthesize, "_last_archive", None)
+    monkeypatch.setattr(jann, "_DEFAULT_FITS", {})
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic generator for test-local randomness."""

@@ -99,3 +99,69 @@ class TestCoplotSemantics:
         s2 = pairwise_dissimilarity(z, metric="euclidean")
         off = ~np.eye(7, dtype=bool)
         assert np.all(s1[off] >= s2[off] - 1e-9)
+
+
+def _paper_problem(figure):
+    """Figure 1's or Figure 2's observation matrix, labels and signs."""
+    from repro.experiments.common import FIGURE1_SIGNS, FIGURE2_SIGNS, production_matrix
+    from repro.experiments.figure2 import FIGURE2_NAMES
+
+    if figure == 1:
+        y, labels = production_matrix(FIGURE1_SIGNS)
+        return y, labels, list(FIGURE1_SIGNS)
+    y, labels = production_matrix(FIGURE2_SIGNS, FIGURE2_NAMES)
+    return y, labels, list(FIGURE2_SIGNS)
+
+
+def _paper_fit(y, labels, signs):
+    from repro.experiments.common import default_coplot
+
+    return default_coplot(seed=0).fit(y, labels=labels, signs=signs)
+
+
+class TestFitInvariants:
+    """Invariants of the whole ``Coplot.fit`` on the paper's own data."""
+
+    @pytest.mark.parametrize("figure", [1, 2])
+    @pytest.mark.parametrize("scale,shift", [(1 / 3600, 0.0), (7.5, -3.0), (1e3, 1e6)])
+    def test_affine_rescale_of_one_variable(self, figure, scale, shift):
+        """Unit changes (seconds to hours, an offset) are erased by the
+        z-score, so the map, Θ and every arrow stay put."""
+        y, labels, signs = _paper_problem(figure)
+        base = _paper_fit(y, labels, signs)
+        for j in range(y.shape[1]):
+            y2 = y.copy()
+            y2[:, j] = scale * y2[:, j] + shift
+            result = _paper_fit(y2, labels, signs)
+            np.testing.assert_allclose(result.coords, base.coords, rtol=0, atol=1e-6)
+            assert result.alienation == pytest.approx(base.alienation, abs=1e-6)
+            for got, want in zip(result.arrows, base.arrows):
+                assert got.correlation == pytest.approx(want.correlation, abs=1e-6)
+                np.testing.assert_allclose(got.direction, want.direction, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("figure", [1, 2])
+    def test_duplicated_variable_gets_a_coincident_arrow(self, figure):
+        y, labels, signs = _paper_problem(figure)
+        for j in range(y.shape[1]):
+            result = _paper_fit(np.column_stack([y, y[:, j]]), labels, signs + ["copy"])
+            original, copy = result.arrows[j], result.arrows[-1]
+            np.testing.assert_allclose(copy.direction, original.direction, rtol=0, atol=1e-6)
+            assert copy.correlation == pytest.approx(original.correlation, abs=1e-6)
+
+    @pytest.mark.parametrize("figure", [1, 2])
+    def test_three_observations_give_a_finite_map(self, figure):
+        y, labels, signs = _paper_problem(figure)
+        result = _paper_fit(y[:3], labels[:3], signs)
+        assert result.coords.shape == (3, 2)
+        assert np.all(np.isfinite(result.coords))
+        assert np.isfinite(result.alienation)
+
+    @pytest.mark.parametrize("figure", [1, 2])
+    def test_all_missing_column_gives_a_finite_map(self, figure):
+        y, labels, signs = _paper_problem(figure)
+        y = y.copy()
+        y[:, 2] = np.nan
+        result = _paper_fit(y, labels, signs)
+        assert np.all(np.isfinite(result.coords))
+        assert np.isfinite(result.alienation)
+        assert all(np.isfinite(a.correlation) for a in result.arrows)

@@ -262,6 +262,63 @@ class TestJann:
             JannModel([], Exponential(1.0))
 
 
+class TestJannDefault:
+    """``JannModel.default`` fits once per integer seed in a process; the
+    suite's autouse fixture empties that memo before each test."""
+
+    @pytest.fixture
+    def synthesized(self, monkeypatch):
+        """Names ``default`` synthesizes, counted through the
+        ``repro.archive`` attribute it imports."""
+        import repro.archive
+
+        names = []
+        real = repro.archive.synthesize_workload
+
+        def counting(name, **kwargs):
+            names.append(name)
+            return real(name, **kwargs)
+
+        monkeypatch.setattr(repro.archive, "synthesize_workload", counting)
+        return names
+
+    def test_ctc_synthesized_once(self, synthesized):
+        JannModel.default()
+        JannModel.default()
+        create_model("Jann")
+        assert synthesized == ["CTC"]
+
+    def test_generator_seed_is_not_cached(self, synthesized):
+        JannModel.default(np.random.default_rng(7))
+        JannModel.default(np.random.default_rng(7))
+        assert synthesized == ["CTC", "CTC"]
+
+    def test_each_call_builds_a_new_model(self):
+        a = JannModel.default()
+        b = JannModel.default()
+        assert a is not b
+        a.machine_procs = 1
+        a.ranges.pop()
+        a.ranges[0] = a.ranges[-1]
+        c = JannModel.default()
+        assert c.machine_procs == b.machine_procs > 1
+
+        def bounds(model):
+            return [(r.lo, r.hi, r.probability) for r in model.ranges]
+
+        assert bounds(c) == bounds(b)
+        assert len(c.ranges) == len(a.ranges) + 1
+
+    def test_matches_a_fresh_fit(self):
+        from repro.archive import synthesize_workload
+
+        JannModel.default()
+        shared = JannModel.default().generate(1000, seed=3)
+        fresh = JannModel.fit(synthesize_workload("CTC", seed=7)).generate(1000, seed=3)
+        for name in ("submit_time", "run_time", "used_procs", "wait_time"):
+            np.testing.assert_array_equal(shared.column(name), fresh.column(name))
+
+
 class TestRegistry:
     def test_names(self):
         assert MODEL_NAMES == ("Feitelson96", "Feitelson97", "Downey", "Jann", "Lublin")

@@ -165,6 +165,22 @@ class TestErrors:
         assert status == 400
         assert body["error"]["code"] == "invalid_spec"
 
+    def test_too_short_named_workload_creates_no_job(self, service_factory, http):
+        from repro.service.store import JOBS_JOURNAL_NAME
+        from repro.util import appendlog
+
+        svc = service_factory()
+        doc = {"kind": "hurst", "input": {"workload": "CTC", "n_jobs": 99}}
+        status, body, _ = http(f"{svc['base']}/v1/analyses", json.dumps(doc).encode())
+        assert status == 400
+        assert body["error"]["code"] == "invalid_spec"
+        assert "n_jobs" in body["error"]["message"]
+        _, listing, _ = http(f"{svc['base']}/v1/analyses")
+        assert listing["jobs"] == []
+        journal = os.path.join(svc["state_dir"], JOBS_JOURNAL_NAME)
+        records = appendlog.replay(journal)[0] if os.path.exists(journal) else []
+        assert [r for r in records if r.get("type") == "job"] == []
+
     def test_unsupported_media_type(self, service_factory, http):
         svc = service_factory()
         status, body, _ = http(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.archive.synthesize import MIN_N_JOBS
 from repro.runtime.cache import ResultCache
 from repro.service.analyses import (
     ANALYSIS_KINDS,
@@ -70,6 +71,16 @@ class TestParsing:
 
     def test_bool_is_not_an_int(self):
         invalid({"input": {"workload": "CTC", "n_jobs": True}})
+
+    def test_named_workload_needs_the_synthesizer_minimum(self):
+        """Fewer jobs than the synthesizer accepts is a spec error at
+        submit, not a worker failure; model streams may be 1 job long."""
+        invalid({"input": {"workload": "CTC", "n_jobs": 99}})
+        invalid({"input": {"workload": "L1", "n_jobs": 50}})
+        spec = parse_analysis_request({"input": {"workload": "CTC", "n_jobs": 100}})
+        assert spec.input["n_jobs"] == MIN_N_JOBS == 100
+        spec = parse_analysis_request({"input": {"model": "Lublin", "n_jobs": 1}})
+        assert spec.input["n_jobs"] == 1
 
     def test_compare_needs_two_models(self):
         invalid(
