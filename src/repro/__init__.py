@@ -37,38 +37,39 @@ Quickstart
 0.068
 """
 
-from repro.coplot import Coplot, CoplotResult, smallest_space_analysis
-from repro.workload import Workload, MachineInfo, read_swf, write_swf, compute_statistics
-from repro.models import (
-    Feitelson96Model,
-    Feitelson97Model,
-    DowneyModel,
-    JannModel,
-    LublinModel,
-)
-from repro.selfsim import estimate_hurst, hurst_summary, fgn
-from repro.archive import synthesize_workload, synthesize_all
+import importlib
+from typing import Any, List
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Coplot",
-    "CoplotResult",
-    "smallest_space_analysis",
-    "Workload",
-    "MachineInfo",
-    "read_swf",
-    "write_swf",
-    "compute_statistics",
-    "Feitelson96Model",
-    "Feitelson97Model",
-    "DowneyModel",
-    "JannModel",
-    "LublinModel",
-    "estimate_hurst",
-    "hurst_summary",
-    "fgn",
-    "synthesize_workload",
-    "synthesize_all",
-    "__version__",
-]
+#: Each public name and the subpackage that defines it.  A subpackage is
+#: imported when one of its names is first used (PEP 562), so ``python -m
+#: repro.lint`` or ``repro.obs`` never loads the compute packages or scipy.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "repro.coplot": ("Coplot", "CoplotResult", "smallest_space_analysis"),
+        "repro.workload": ("Workload", "MachineInfo", "read_swf", "write_swf",
+                           "compute_statistics"),
+        "repro.models": ("Feitelson96Model", "Feitelson97Model", "DowneyModel", "JannModel",
+                         "LublinModel"),
+        "repro.selfsim": ("estimate_hurst", "hurst_summary", "fgn"),
+        "repro.archive": ("synthesize_workload", "synthesize_all"),
+    }.items()
+    for name in names
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.coplot.model import Coplot, CoplotResult
 from repro.coplot.procrustes import procrustes_align_batch
@@ -110,6 +109,8 @@ def project_observation(
         starts.append(
             coords.mean(axis=0) + rng.normal(scale=0.5, size=2) * np.maximum(span, 1e-9)
         )
+    from scipy import optimize  # deferred: ~0.25 s, and no experiment or analysis projects
+
     best_pos: Optional[np.ndarray] = None
     best_val = np.inf
     for start in starts:

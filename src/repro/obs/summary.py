@@ -2,20 +2,29 @@
 
 Turns a parsed :class:`~repro.obs.trace.Trace` into the human-readable
 views ``python -m repro.obs summarize`` prints: a digest line (task
-counts, cache ratio, retries, total wall), and the span tree with the
-*critical path* — the chain of spans that dominated wall time, found by
-walking from each root to its most expensive child — marked ``*``.
+counts, cache ratio, retries, total wall), and the span tree, each span
+with its wall time and attributes, with the *critical path* — the chain
+of spans that dominated wall time, found by walking from each root to
+its most expensive child — marked ``*``.
 The runner's per-task summary spans have no ids, so they render as
 leaves under the implicit root.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, List, Optional, Set
 
 from repro.obs.trace import Trace
 
 __all__ = ["critical_path", "digest", "render_tree", "summarize_trace"]
+
+#: Keys every span record carries; the tree prints all others as attributes.
+_STRUCTURAL_KEYS = frozenset(
+    {"type", "name", "status", "wall_s", "span_id", "parent_id", "trace_id", "ts"}
+)
+#: Characters of attributes shown per span before the tree cuts them.
+_ATTRS_WIDTH = 80
 
 
 def digest(task_spans: Dict[str, Dict[str, Any]]) -> str:
@@ -88,8 +97,30 @@ def critical_path(trace: Trace) -> List[Dict[str, Any]]:
     return path
 
 
+def _format_attrs(span: Dict[str, Any]) -> str:
+    """The span's attributes as ``key=value`` pairs, cut to ``_ATTRS_WIDTH``."""
+    pairs = []
+    for key, value in span.items():
+        if key in _STRUCTURAL_KEYS:
+            continue
+        if isinstance(value, str):
+            text = value
+        elif isinstance(value, float):
+            text = f"{value:g}"
+        else:  # bool/None/int/list as JSON: true, null, 20000, [1,2]
+            text = json.dumps(value, separators=(",", ":"))
+        pairs.append(f"{key}={text}")
+    line = " ".join(pairs)
+    return line if len(line) <= _ATTRS_WIDTH else line[: _ATTRS_WIDTH - 1] + "…"
+
+
 def render_tree(trace: Trace, *, max_name: int = 48) -> str:
-    """Render the span hierarchy, critical path marked with ``*``."""
+    """Render the span hierarchy, critical path marked with ``*``.
+
+    Each line shows a span's name, wall time and attributes, e.g.
+    ``archive.synthesize 0.000s logs=10 n_jobs=20000 shared=true`` for
+    an archive reused from memory.
+    """
     spans = trace.spans
     if not spans:
         return "(no spans)"
@@ -107,7 +138,9 @@ def render_tree(trace: Trace, *, max_name: int = 48) -> str:
             status = str(span.get("status", "ok"))
             mark = " *" if id(span) in on_path else ""
             suffix = "" if status == "ok" else f" [{status}]"
-            lines.append(f"{indent}{branch}{name} {wall:.3f}s{suffix}{mark}")
+            attrs = _format_attrs(span)
+            attrs = f" {attrs}" if attrs else ""
+            lines.append(f"{indent}{branch}{name} {wall:.3f}s{attrs}{suffix}{mark}")
             child_indent = indent + ("" if branch == "" else ("   " if last else "│  "))
             span_id = span.get("span_id")
             if span_id:  # id-less summary spans have no children by construction

@@ -17,7 +17,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy import optimize
 
 from repro.selfsim.periodogram import periodogram
 from repro.util.validation import check_1d
@@ -68,6 +67,8 @@ def hurst_local_whittle(
         if g <= 0:  # pragma: no cover - i_w > 0 guarantees g > 0
             return math.inf
         return math.log(g) - exponent * log_w_mean
+
+    from scipy import optimize  # deferred: ~0.25 s, and only this opt-in estimator needs it
 
     result = optimize.minimize_scalar(objective, bounds=bounds, method="bounded")
     return float(result.x)

@@ -1,7 +1,7 @@
 """Statistics substrate.
 
 Distributions used by the paper's synthetic models and by our log
-synthesizer (hyper-exponential, hyper-Erlang, hyper-gamma, log-uniform,
+synthesizer (hyper-exponential, hyper-Erlang, gamma, log-uniform,
 log-normal), plus order-statistic, moment-matching, correlation and
 regression helpers used throughout the analyses.
 """
@@ -15,13 +15,9 @@ from repro.stats.distributions import (
     LogNormal,
     Gamma,
     Erlang,
-    Weibull,
     HyperExponential,
     HyperErlang,
-    HyperGamma,
     Mixture,
-    Shifted,
-    Truncated,
     Discrete,
 )
 from repro.stats.percentiles import (
@@ -53,13 +49,9 @@ __all__ = [
     "LogNormal",
     "Gamma",
     "Erlang",
-    "Weibull",
     "HyperExponential",
     "HyperErlang",
-    "HyperGamma",
     "Mixture",
-    "Shifted",
-    "Truncated",
     "Discrete",
     "percentile",
     "median",

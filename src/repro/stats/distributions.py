@@ -8,10 +8,17 @@ with long-range dependence is pushed through ``ppf(Phi(z))`` to obtain a
 series with the *target marginal* and (approximately) the target Hurst
 parameter.
 
-Mixture distributions (hyper-exponential, hyper-Erlang, hyper-gamma) invert
-their CDF numerically with bracketed Brent root finding; the bracket is grown
+Mixture distributions (hyper-exponential, hyper-Erlang) invert their CDF
+numerically with bracketed Brent root finding; the bracket is grown
 geometrically from the component means so inversion is robust for the heavy
 tails workload modeling requires.
+
+Compute here needs :mod:`scipy.special` alone.  ``LogNormal`` and ``Gamma``
+evaluate the same ``scipy.special`` expressions, with the same support
+handling, that ``scipy.stats.lognorm`` and ``scipy.stats.gamma`` do, and
+:func:`_brentq` is a step-for-step port of scipy's ``brentq``, so every
+value is bit-identical to the ``scipy.stats``/``scipy.optimize`` calls the
+tests use as oracles, without the ~1 s it takes to import those packages.
 
 References
 ----------
@@ -19,17 +26,17 @@ References
   common order).
 * Downey, *A Parallel Workload Model and Its Implications for Processor
   Allocation*, HPDC 1997 (log-uniform).
-* Lublin & Feitelson (hyper-gamma).
+* Brent, *Algorithms for Minimization Without Derivatives*, 1973, ch. 4.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from scipy import optimize, special, stats as spstats
+from scipy import special
 
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive, check_probability
@@ -43,17 +50,20 @@ __all__ = [
     "LogNormal",
     "Gamma",
     "Erlang",
-    "Weibull",
     "HyperExponential",
     "HyperErlang",
-    "HyperGamma",
     "Mixture",
-    "Shifted",
-    "Truncated",
     "Discrete",
 ]
 
 _PPF_EPS = 1e-12
+
+#: scipy's ``brentq`` defaults: the smallest ``rtol`` it accepts, and
+#: its iteration cap.
+_BRENT_RTOL = 4 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+_SQRT_2PI = math.sqrt(2 * math.pi)
 
 
 def _check_quantiles(q) -> np.ndarray:
@@ -62,6 +72,112 @@ def _check_quantiles(q) -> np.ndarray:
         raise ValueError("quantiles must lie in [0, 1]")
     return q
 
+
+def _brentq(
+    f: Callable[[float], float],
+    xa: float,
+    xb: float,
+    *,
+    xtol: float,
+    rtol: float = _BRENT_RTOL,
+    maxiter: int = _BRENT_MAXITER,
+) -> float:
+    """A root of *f* in ``[xa, xb]`` by Brent's method.
+
+    A step-for-step port of scipy's ``brentq.c`` (inverse quadratic
+    interpolation guarded by bisection), so it takes the same steps and
+    returns the same float as ``scipy.optimize.brentq``.  Like it, it raises
+    ``ValueError`` on a NaN function value and on a bracket whose ends
+    have the same sign, and ``RuntimeError`` after *maxiter* iterations
+    without convergence.
+    """
+
+    def call(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _place(out: np.ndarray, mask: np.ndarray, inner, values: np.ndarray):
+    """*out* with ``inner(values[mask])`` written where *mask* holds.
+
+    This is scipy's ``rv_continuous`` pattern: a closed form runs only on
+    its domain, and the caller fills the support ends into *out*.  A 0-d
+    result comes back as a numpy scalar, as from ``scipy.stats``.
+    """
+    out[mask] = inner(values[mask])
+    return out[()]
+
+
+def _positive_cdf(x, scale: float, inner):
+    """A CDF on ``(0, inf)``: 0 at or below 0, 1 at ``inf``, NaN for NaN."""
+    x = np.asarray(x, dtype=float) / scale
+    out = np.where(np.isnan(x), np.nan, np.where(x == math.inf, 1.0, 0.0))
+    return _place(out, (x > 0) & (x < math.inf), inner, x)
+
+
+def _positive_pdf(x, scale: float, logpdf):
+    """A density on ``[0, inf]``: ``exp(logpdf(x / scale)) / scale``, 0 below, NaN for NaN."""
+    x = np.asarray(x, dtype=float) / scale
+    out = np.where(np.isnan(x), np.nan, 0.0)
+    return _place(out, x >= 0, lambda v: np.exp(logpdf(v)) / scale, x)
+
+
+def _lognorm_logpdf(x: np.ndarray, s: float) -> np.ndarray:
+    """scipy's standard log-normal log-density, ``-inf`` at 0."""
+    out = np.full(x.shape, -math.inf)
+    return _place(
+        out, x != 0, lambda v: -np.log(v) ** 2 / (2 * (s * s)) - np.log(s * v * _SQRT_2PI), x
+    )
+
+
+def _positive_ppf(q, scale: float, inner):
+    """A quantile function onto ``[0, inf]``: 0 at q = 0, ``inf`` at q = 1."""
+    q = _check_quantiles(q)
+    out = np.where(q == 0, 0.0, np.where(q == 1, math.inf, np.nan))
+    return _place(out, (q > 0) & (q < 1), lambda v: inner(v) * scale, q)
 
 
 class Distribution(abc.ABC):
@@ -100,9 +216,7 @@ class Distribution(abc.ABC):
 
     def ppf(self, q) -> np.ndarray:
         """Quantile function; generic implementation inverts ``cdf``."""
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must lie in [0, 1]")
+        q = _check_quantiles(q)
         scalar = q.ndim == 0
         qs = np.atleast_1d(q)
         out = np.empty_like(qs)
@@ -123,14 +237,10 @@ class Distribution(abc.ABC):
                 hi *= 2.0
                 if hi > 1e300:  # pragma: no cover - defensive
                     raise RuntimeError("ppf bracket exceeded float range")
-        if not math.isfinite(lo):  # pragma: no cover - no such dist here yet
-            lo = min(-1.0, hi - 1.0)
-            while self.cdf(lo) > q:
-                lo *= 2.0
         f_lo = self.cdf(lo) - q
         if f_lo >= 0:
             return float(lo)
-        return float(optimize.brentq(lambda x: float(self.cdf(x)) - q, lo, hi, xtol=1e-12, rtol=1e-12))
+        return float(_brentq(lambda x: float(self.cdf(x)) - q, lo, hi, xtol=1e-12, rtol=1e-12))
 
     def median(self) -> float:
         """The 0.5 quantile."""
@@ -175,9 +285,7 @@ class Exponential(Distribution):
         return np.where(x < 0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
     def ppf(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must lie in [0, 1]")
+        q = _check_quantiles(q)
         return -np.log1p(-np.clip(q, 0.0, 1.0 - _PPF_EPS)) / self.rate
 
     def mean(self) -> float:
@@ -218,9 +326,7 @@ class Uniform(Distribution):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
     def ppf(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must lie in [0, 1]")
+        q = _check_quantiles(q)
         return self.lo + q * (self.hi - self.lo)
 
     def mean(self) -> float:
@@ -272,9 +378,7 @@ class LogUniform(Distribution):
         return np.clip(val, 0.0, 1.0)
 
     def ppf(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must lie in [0, 1]")
+        q = _check_quantiles(q)
         return np.exp(self._log_lo + q * (self._log_hi - self._log_lo))
 
     def mean(self) -> float:
@@ -330,11 +434,6 @@ class TwoStageLogUniform(Distribution):
         m = self.mean()
         return m2 - m * m
 
-    def moment(self, k: int) -> float:
-        if k in (1, 2):
-            return super().moment(k) if k == 2 else self.mean()
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return (
             f"TwoStageLogUniform({self.low.lo:g}, {self.low.hi:g}, "
@@ -364,7 +463,7 @@ class LogNormal(Distribution):
         check_positive(median, "median")
         check_positive(interval, "interval")
         mu = math.log(median)
-        z = float(spstats.norm.ppf(0.5 + coverage / 2.0))
+        z = float(special.ndtri(0.5 + coverage / 2.0))
 
         def width(sigma: float) -> float:
             return math.exp(mu + z * sigma) - math.exp(mu - z * sigma)
@@ -374,20 +473,20 @@ class LogNormal(Distribution):
             hi *= 2.0
             if hi > 1e4:  # pragma: no cover - defensive
                 raise RuntimeError("interval unreachable for this median")
-        sigma = optimize.brentq(lambda s: width(s) - interval, lo, hi, xtol=1e-12)
+        sigma = _brentq(lambda s: width(s) - interval, lo, hi, xtol=1e-12)
         return cls(mu, sigma)
 
     def sample(self, n: int, seed: SeedLike = None) -> np.ndarray:
         return as_generator(seed).lognormal(self.mu, self.sigma, size=n)
 
     def pdf(self, x) -> np.ndarray:
-        return spstats.lognorm.pdf(x, s=self.sigma, scale=math.exp(self.mu))
+        return _positive_pdf(x, math.exp(self.mu), lambda v: _lognorm_logpdf(v, self.sigma))
 
     def cdf(self, x) -> np.ndarray:
-        return spstats.lognorm.cdf(x, s=self.sigma, scale=math.exp(self.mu))
+        return _positive_cdf(x, math.exp(self.mu), lambda v: special.ndtr(np.log(v) / self.sigma))
 
     def ppf(self, q) -> np.ndarray:
-        return spstats.lognorm.ppf(_check_quantiles(q), s=self.sigma, scale=math.exp(self.mu))
+        return _positive_ppf(q, math.exp(self.mu), lambda v: np.exp(self.sigma * special.ndtri(v)))
 
     def mean(self) -> float:
         return math.exp(self.mu + self.sigma**2 / 2.0)
@@ -413,13 +512,16 @@ class Gamma(Distribution):
         return as_generator(seed).gamma(self.shape, self.scale, size=n)
 
     def pdf(self, x) -> np.ndarray:
-        return spstats.gamma.pdf(x, a=self.shape, scale=self.scale)
+        a = self.shape
+        return _positive_pdf(
+            x, self.scale, lambda v: special.xlogy(a - 1.0, v) - v - special.gammaln(a)
+        )
 
     def cdf(self, x) -> np.ndarray:
-        return spstats.gamma.cdf(x, a=self.shape, scale=self.scale)
+        return _positive_cdf(x, self.scale, lambda v: special.gammainc(self.shape, v))
 
     def ppf(self, q) -> np.ndarray:
-        return spstats.gamma.ppf(_check_quantiles(q), a=self.shape, scale=self.scale)
+        return _positive_ppf(q, self.scale, lambda v: special.gammaincinv(self.shape, v))
 
     def mean(self) -> float:
         return self.shape * self.scale
@@ -449,40 +551,6 @@ class Erlang(Gamma):
 
     def __repr__(self) -> str:
         return f"Erlang(k={self.k}, rate={self.rate:g})"
-
-
-class Weibull(Distribution):
-    """Weibull distribution with *shape* and *scale*."""
-
-    def __init__(self, shape: float, scale: float):
-        self.shape = check_positive(shape, "shape")
-        self.scale = check_positive(scale, "scale")
-
-    def sample(self, n: int, seed: SeedLike = None) -> np.ndarray:
-        return self.scale * as_generator(seed).weibull(self.shape, size=n)
-
-    def pdf(self, x) -> np.ndarray:
-        return spstats.weibull_min.pdf(x, c=self.shape, scale=self.scale)
-
-    def cdf(self, x) -> np.ndarray:
-        return spstats.weibull_min.cdf(x, c=self.shape, scale=self.scale)
-
-    def ppf(self, q) -> np.ndarray:
-        return spstats.weibull_min.ppf(_check_quantiles(q), c=self.shape, scale=self.scale)
-
-    def mean(self) -> float:
-        return self.scale * math.gamma(1.0 + 1.0 / self.shape)
-
-    def var(self) -> float:
-        g1 = math.gamma(1.0 + 1.0 / self.shape)
-        g2 = math.gamma(1.0 + 2.0 / self.shape)
-        return self.scale**2 * (g2 - g1 * g1)
-
-    def moment(self, k: int) -> float:
-        return self.scale**k * math.gamma(1.0 + k / self.shape)
-
-    def __repr__(self) -> str:
-        return f"Weibull(shape={self.shape:g}, scale={self.scale:g})"
 
 
 # ---------------------------------------------------------------------------
@@ -570,117 +638,6 @@ class HyperErlang(Mixture):
         return f"HyperErlang(probs={list(self.probs)}, k={self.k}, rates={self.rates})"
 
 
-class HyperGamma(Mixture):
-    """Two-component gamma mixture (Lublin's runtime distribution)."""
-
-    def __init__(
-        self,
-        p: float,
-        shape1: float,
-        scale1: float,
-        shape2: float,
-        scale2: float,
-    ):
-        check_probability(p, "p")
-        super().__init__([p, 1.0 - p], [Gamma(shape1, scale1), Gamma(shape2, scale2)])
-        self.p = float(p)
-
-    def __repr__(self) -> str:
-        g1, g2 = self.components
-        return f"HyperGamma(p={self.p:g}, {g1!r}, {g2!r})"
-
-
-# ---------------------------------------------------------------------------
-# Adapters
-# ---------------------------------------------------------------------------
-
-
-class Shifted(Distribution):
-    """``base + offset`` — e.g. inter-arrival times with a minimum gap."""
-
-    def __init__(self, base: Distribution, offset: float):
-        self.base = base
-        self.offset = float(offset)
-
-    def support(self) -> Tuple[float, float]:
-        lo, hi = self.base.support()
-        return (lo + self.offset, hi + self.offset)
-
-    def sample(self, n: int, seed: SeedLike = None) -> np.ndarray:
-        return self.base.sample(n, seed) + self.offset
-
-    def pdf(self, x) -> np.ndarray:
-        return self.base.pdf(np.asarray(x, dtype=float) - self.offset)
-
-    def cdf(self, x) -> np.ndarray:
-        return self.base.cdf(np.asarray(x, dtype=float) - self.offset)
-
-    def ppf(self, q) -> np.ndarray:
-        return self.base.ppf(q) + self.offset
-
-    def mean(self) -> float:
-        return self.base.mean() + self.offset
-
-    def var(self) -> float:
-        return self.base.var()
-
-    def __repr__(self) -> str:
-        return f"Shifted({self.base!r}, offset={self.offset:g})"
-
-
-class Truncated(Distribution):
-    """*base* conditioned on ``lo <= X <= hi`` (system limits, e.g. max runtime)."""
-
-    def __init__(self, base: Distribution, lo: float = 0.0, hi: float = math.inf):
-        if not hi > lo:
-            raise ValueError(f"hi must exceed lo, got [{lo}, {hi}]")
-        self.base = base
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self._c_lo = float(base.cdf(self.lo)) if math.isfinite(self.lo) else 0.0
-        self._c_hi = float(base.cdf(self.hi)) if math.isfinite(self.hi) else 1.0
-        self._mass = self._c_hi - self._c_lo
-        if self._mass <= 0:
-            raise ValueError("truncation interval has zero probability mass")
-
-    def support(self) -> Tuple[float, float]:
-        blo, bhi = self.base.support()
-        return (max(blo, self.lo), min(bhi, self.hi))
-
-    def sample(self, n: int, seed: SeedLike = None) -> np.ndarray:
-        u = as_generator(seed).uniform(self._c_lo, self._c_hi, size=n)
-        return np.asarray(self.base.ppf(u), dtype=float)
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, self.base.pdf(x) / self._mass, 0.0)
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        raw = (np.asarray(self.base.cdf(x), dtype=float) - self._c_lo) / self._mass
-        return np.clip(raw, 0.0, 1.0)
-
-    def ppf(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must lie in [0, 1]")
-        return self.base.ppf(self._c_lo + q * self._mass)
-
-    def mean(self) -> float:
-        # No closed form in general: integrate the quantile function.
-        qs = np.linspace(0.0, 1.0, 4097)[1:-1]
-        return float(np.mean(self.ppf(qs)))
-
-    def var(self) -> float:
-        qs = np.linspace(0.0, 1.0, 4097)[1:-1]
-        vals = np.asarray(self.ppf(qs), dtype=float)
-        return float(np.var(vals))
-
-    def __repr__(self) -> str:
-        return f"Truncated({self.base!r}, lo={self.lo:g}, hi={self.hi:g})"
-
-
 class Discrete(Distribution):
     """Discrete distribution over arbitrary real support points.
 
@@ -729,9 +686,7 @@ class Discrete(Distribution):
         return cum[idx]
 
     def ppf(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if np.any((q < 0) | (q > 1)):
-            raise ValueError("quantiles must lie in [0, 1]")
+        q = _check_quantiles(q)
         idx = np.searchsorted(self._cum, q, side="left")
         idx = np.clip(idx, 0, len(self.values) - 1)
         return self.values[idx]

@@ -112,6 +112,31 @@ class TestRenderTree:
         trace = Trace(schema=2, records=[_span("task:x", "x1", None, 1.0, 1.0, status="failed")])
         assert "[failed]" in render_tree(trace)
 
+    def test_attributes_follow_the_time(self):
+        # A reused archive must say so: a bare "0.000s" cannot explain itself.
+        trace = Trace(
+            schema=2,
+            records=[
+                _span("run", "r1", None, 1.0, 1.0),
+                _span("archive.synthesize", "s1", "r1", 0.0, 1.5,
+                      logs=10, n_jobs=20000, shared=True),
+                _span("mds.solve", "m1", "r1", 0.25, 2.0, n_iter=212, stress=0.0412345678,
+                      restarts=[0, 1], note=None, status="failed"),
+            ],
+        )
+        lines = render_tree(trace).splitlines()
+        assert lines[0] == "run 1.000s *"
+        assert lines[1] == "├─ archive.synthesize 0.000s logs=10 n_jobs=20000 shared=true"
+        assert lines[2] == (
+            "└─ mds.solve 0.250s n_iter=212 stress=0.0412346 restarts=[0,1] note=null"
+            " [failed] *"
+        )
+
+    def test_attributes_are_cut_at_the_width_cap(self):
+        trace = Trace(schema=2, records=[_span("task:x", "x1", None, 1.0, 1.0, error="E" * 200)])
+        line = render_tree(trace)
+        assert line == "task:x 1.000s error=" + "E" * 73 + "… *"
+
 
 class TestSummarizeTrace:
     def test_header_and_truncation_note(self):
