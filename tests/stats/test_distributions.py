@@ -28,8 +28,14 @@ ALL_DISTRIBUTIONS = [
     TwoStageLogUniform(1.0, 50.0, 5000.0, 0.6),
     LogNormal(2.0, 1.5),
     Gamma(2.0, 3.0),
+    # Shape < 1: gammainc/gammaincinv in the small-shape regime, pdf pole at 0.
+    Gamma(0.5, 2000.0),
+    # Built by the Brent port from Table 1's CTC interarrival (median, interval).
+    LogNormal.from_median_interval(64.0, 1472.0),
     Erlang(3, 0.25),
     HyperExponential([0.7, 0.3], [1.0, 0.01]),
+    # Generic Brent ppf over phases four decades apart.
+    HyperExponential([0.5, 0.3, 0.2], [2.0, 0.1, 0.001]),
     HyperErlang([0.4, 0.6], 2, [0.5, 0.005]),
     Discrete([1, 2, 4, 8, 16], [0.3, 0.25, 0.2, 0.15, 0.1]),
 ]
