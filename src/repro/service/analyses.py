@@ -168,10 +168,6 @@ def _parse_params(doc: Any, kind: str) -> Dict[str, Any]:
                  "'methods' must be a non-empty list")
         unknown = [m for m in methods if m not in HURST_METHODS]
         _require(not unknown, f"unknown Hurst method(s): {unknown}")
-        if "whittle" in methods:
-            # Whittle minimizes with scipy.optimize: import it here, so the
-            # forked workers inherit it instead of each paying ~0.25 s CPU.
-            import scipy.optimize  # noqa: F401
         return {"attributes": [str(a) for a in attrs], "methods": [str(m) for m in methods]}
     if kind == "compare":
         models = doc.get("models", list(MODEL_NAMES))

@@ -62,6 +62,8 @@ _PPF_EPS = 1e-12
 #: its iteration cap.
 _BRENT_RTOL = 4 * float(np.finfo(float).eps)
 _BRENT_MAXITER = 100
+#: The absolute tolerance of every root this module solves for.
+_BRENT_XTOL = 1e-12
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -73,23 +75,15 @@ def _check_quantiles(q) -> np.ndarray:
     return q
 
 
-def _brentq(
-    f: Callable[[float], float],
-    xa: float,
-    xb: float,
-    *,
-    xtol: float,
-    rtol: float = _BRENT_RTOL,
-    maxiter: int = _BRENT_MAXITER,
-) -> float:
-    """A root of *f* in ``[xa, xb]`` by Brent's method.
+def _brentq(f: Callable[[float], float], xa: float, xb: float, rtol: float = _BRENT_RTOL) -> float:
+    """A root of *f* in ``[xa, xb]`` by Brent's method, to ``_BRENT_XTOL``.
 
     A step-for-step port of scipy's ``brentq.c`` (inverse quadratic
     interpolation guarded by bisection), so it takes the same steps and
-    returns the same float as ``scipy.optimize.brentq``.  Like it, it raises
-    ``ValueError`` on a NaN function value and on a bracket whose ends
-    have the same sign, and ``RuntimeError`` after *maxiter* iterations
-    without convergence.
+    returns the same float as ``scipy.optimize.brentq`` with the same
+    tolerances.  Like it, it raises ``ValueError`` on a NaN function value
+    and on a bracket whose ends have the same sign, and ``RuntimeError``
+    after ``_BRENT_MAXITER`` iterations without convergence.
     """
 
     def call(x: float) -> float:
@@ -107,14 +101,14 @@ def _brentq(
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_XTOL + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -137,7 +131,7 @@ def _brentq(
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
 
 
 def _place(out: np.ndarray, mask: np.ndarray, inner, values: np.ndarray):
@@ -240,7 +234,7 @@ class Distribution(abc.ABC):
         f_lo = self.cdf(lo) - q
         if f_lo >= 0:
             return float(lo)
-        return float(_brentq(lambda x: float(self.cdf(x)) - q, lo, hi, xtol=1e-12, rtol=1e-12))
+        return float(_brentq(lambda x: float(self.cdf(x)) - q, lo, hi, rtol=1e-12))
 
     def median(self) -> float:
         """The 0.5 quantile."""
@@ -473,7 +467,7 @@ class LogNormal(Distribution):
             hi *= 2.0
             if hi > 1e4:  # pragma: no cover - defensive
                 raise RuntimeError("interval unreachable for this median")
-        sigma = _brentq(lambda s: width(s) - interval, lo, hi, xtol=1e-12)
+        sigma = _brentq(lambda s: width(s) - interval, lo, hi)
         return cls(mu, sigma)
 
     def sample(self, n: int, seed: SeedLike = None) -> np.ndarray:

@@ -10,7 +10,6 @@ types.
 
 import inspect
 import math
-import re
 
 import numpy as np
 import pytest
@@ -19,9 +18,11 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 
 from repro.archive.targets import PRODUCTION_NAMES, TABLE1, TABLE2, TABLE2_NAMES
+from repro.stats import distributions
 from repro.stats.distributions import (
     _BRENT_MAXITER,
     _BRENT_RTOL,
+    _BRENT_XTOL,
     Gamma,
     HyperErlang,
     HyperExponential,
@@ -191,17 +192,16 @@ class TestBrentPort:
         c=st.floats(1e-6, 1e3),
         lo=st.floats(-5.0, 0.0),
         hi=st.floats(1.0, 50.0),
-        xtol=st.sampled_from([1e-12, 2e-12, 1e-6]),
         flip=st.booleans(),
     )
-    def test_same_steps_and_root_as_scipy(self, rtol, kind, c, lo, hi, xtol, flip):
+    def test_same_steps_and_root_as_scipy(self, rtol, kind, c, lo, hi, flip):
         f, a, b = _problem(kind, c, lo, hi)
         if flip:
             a, b = b, a
         mine_f, mine_seen = _recording(f)
         ref_f, ref_seen = _recording(f)
-        root = _brentq(mine_f, a, b, xtol=xtol, rtol=rtol)
-        ref = optimize.brentq(ref_f, a, b, xtol=xtol, rtol=rtol)
+        root = _brentq(mine_f, a, b, rtol=rtol)
+        ref = optimize.brentq(ref_f, a, b, xtol=_BRENT_XTOL, rtol=rtol)
         assert type(root) is type(ref) is float
         assert root == ref
         assert mine_seen == ref_seen
@@ -213,13 +213,14 @@ class TestBrentPort:
 
     def test_root_at_a_bracket_end(self):
         for a, b in ((0.0, 1.0), (-1.0, 0.0)):
-            assert _brentq(lambda x: x, a, b, xtol=1e-12) == optimize.brentq(lambda x: x, a, b)
+            assert _brentq(lambda x: x, a, b) == optimize.brentq(lambda x: x, a, b)
 
-    def _raises_alike(self, f, a, b, **kw):
+    def _raises_alike(self, f, a, b, maxiter=_BRENT_MAXITER):
+        """The port raises the exception type scipy raises; the text may differ by release."""
         with pytest.raises(Exception) as ref:
-            optimize.brentq(f, a, b, **kw)
-        with pytest.raises(ref.type, match=f"^{re.escape(str(ref.value))}$"):
-            _brentq(f, a, b, xtol=2e-12, **kw)
+            optimize.brentq(f, a, b, xtol=_BRENT_XTOL, maxiter=maxiter)
+        with pytest.raises(ref.type):
+            _brentq(f, a, b)
 
     def test_raises_on_same_sign_ends(self):
         self._raises_alike(lambda x: x * x + 1.0, 0.0, 1.0)
@@ -230,5 +231,6 @@ class TestBrentPort:
         self._raises_alike(lambda x: math.nan if 0.3 < x < 0.9 else x - 0.5, 0.0, 1.0)
 
     @pytest.mark.parametrize("maxiter", [0, 1, 3])
-    def test_raises_when_not_converged(self, maxiter):
+    def test_raises_when_not_converged(self, monkeypatch, maxiter):
+        monkeypatch.setattr(distributions, "_BRENT_MAXITER", maxiter)
         self._raises_alike(lambda x: math.exp(x) - 5.0, 0.0, 10.0, maxiter=maxiter)

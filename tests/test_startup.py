@@ -21,8 +21,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORACLE_ONLY = {"scipy.stats", "scipy.optimize"}
 
 
-def _modules_after(code: str, cwd: str = REPO_ROOT) -> dict:
-    """Run *code* in a fresh interpreter; return the JSON it prints last."""
+def _scipy_loaded(statement: str, cwd: str = REPO_ROOT) -> set:
+    """The scipy modules a fresh interpreter has loaded after *statement*."""
+    code = (
+        f"{statement}\n"
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    )
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -33,16 +38,7 @@ def _modules_after(code: str, cwd: str = REPO_ROOT) -> dict:
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _scipy_loaded(statement: str, cwd: str = REPO_ROOT) -> set:
-    code = (
-        f"{statement}\n"
-        "import json, sys\n"
-        "print(json.dumps({'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))"
-    )
-    return set(_modules_after(code, cwd)["scipy"])
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 @pytest.mark.parametrize("module", ["repro.lint.cli", "repro.obs.cli", "repro.runtime.cache"])
@@ -64,17 +60,3 @@ def test_quick_suite_computes_without_stats_or_optimize(tmp_path):
         "assert rc == 0, rc"
     )
     assert not _scipy_loaded(run, cwd=str(tmp_path)) & ORACLE_ONLY
-
-
-def test_service_imports_optimize_only_to_admit_whittle():
-    code = (
-        "import json, sys\n"
-        "from repro.service.analyses import parse_analysis_request\n"
-        "doc = {'kind': 'hurst', 'input': {'workload': 'CTC'}}\n"
-        "parse_analysis_request(doc)\n"
-        "after_default = 'scipy.optimize' in sys.modules\n"
-        "parse_analysis_request(dict(doc, params={'methods': ['rs', 'whittle']}))\n"
-        "print(json.dumps({'default': after_default,"
-        " 'whittle': 'scipy.optimize' in sys.modules}))"
-    )
-    assert _modules_after(code) == {"default": False, "whittle": True}
