@@ -13,10 +13,9 @@ test:
 
 # Static analysis: the self-hosted determinism linter is the hard gate;
 # ruff/mypy run when installed (CI installs them) and are skipped
-# gracefully on machines that only have the runtime deps.  Runs are
-# incremental (results/lint-cache/): a warm unchanged tree re-lints in
-# hash time.  Use `python -m repro.lint --no-incremental` to force a
-# full pass.
+# gracefully on machines that only have the runtime deps.  The linter
+# keeps no cache: every run is one full pass (~5 s of CPU over src and
+# tests; docs/LINT.md, "Cost").
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.lint src tests
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \

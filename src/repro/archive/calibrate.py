@@ -19,7 +19,7 @@ distributions from exactly those targets:
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -55,7 +55,7 @@ from repro.obs import span
 from repro.selfsim.fgn import fgn
 from repro.stats.distributions import Discrete, Distribution
 from repro.util.atomicio import atomic_write_text
-from repro.util.rng import SeedLike, as_generator, spawn_children
+from repro.util.rng import SeedLike, spawn_children
 from repro.workload.fields import (
     MISSING,
     STATUS_CANCELLED,

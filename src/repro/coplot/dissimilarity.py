@@ -14,7 +14,7 @@ remain comparable across pairs with different amounts of missing data.
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 

@@ -9,8 +9,6 @@ missing cells stay NaN for the dissimilarity stage to handle.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.util.validation import check_1d, check_2d

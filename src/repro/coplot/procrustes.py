@@ -9,9 +9,6 @@ orthogonal Procrustes analysis.
 
 from __future__ import annotations
 
-import math
-from typing import Tuple
-
 import numpy as np
 
 from repro.util.validation import check_2d

@@ -8,7 +8,6 @@ self-contained SVG (hand-written markup, viewable in any browser).
 from __future__ import annotations
 
 import io
-import math
 from typing import List, Optional
 
 import numpy as np

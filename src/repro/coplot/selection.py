@@ -16,7 +16,6 @@ Two procedures from the paper:
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.archive.targets import PRODUCTION_NAMES, TABLE1, TABLE2, TABLE2_NAMES
-from repro.coplot.model import Coplot, CoplotResult
+from repro.archive.targets import PRODUCTION_NAMES, TABLE1, TABLE2
+from repro.coplot.model import Coplot
 from repro.workload.variables import observation_matrix
 
 __all__ = [

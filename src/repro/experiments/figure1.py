@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.coplot.model import CoplotResult
 from repro.coplot.render import render_ascii_map
 from repro.coplot.selection import eliminate_variables

@@ -19,7 +19,7 @@ produce.  The paper's reading, checked here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 import numpy as np
 

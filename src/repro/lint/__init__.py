@@ -20,7 +20,6 @@ from repro.lint.engine import (
 )
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph import ProjectIndex
-from repro.lint.incremental import LintCache
 from repro.lint.rules import (
     ALL_RULES,
     KNOWN_CODES,
@@ -34,7 +33,6 @@ __all__ = [
     "ALL_RULES",
     "Finding",
     "KNOWN_CODES",
-    "LintCache",
     "LintConfig",
     "LintConfigError",
     "PARSE_ERROR_CODE",

@@ -5,36 +5,21 @@ json`` emits a machine-readable report (archived as a CI artifact so
 lint trends stay observable across PRs); ``--format sarif`` emits a
 SARIF 2.1.0 document for GitHub code scanning; ``--output`` writes the
 report to a file while a one-line summary still goes to stderr.
-
-Runs are **incremental** by default when a project config is in play:
-per-file findings are cached under ``results/lint-cache/`` keyed on
-content hash + ruleset version, so an unchanged tree re-lints in hash
-time.  ``--no-incremental`` forces a full pass; ``--cache-dir`` points
-the cache elsewhere.  ``--dump-graph FILE`` writes the whole-program
-call graph the interprocedural rules ran over (the ``lint-graph``
-debugging artifact).
+``--dump-graph FILE`` writes the whole-program call graph the
+interprocedural rules ran over (the ``lint-graph`` debugging artifact).
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
 import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.lint.config import LintConfig, LintConfigError, find_pyproject, load_config
-from repro.lint.engine import (
-    PROJECT_RULES,
-    ParsedFile,
-    build_project_index,
-    collect_suppressions,
-    iter_python_files,
-    lint_paths,
-)
+from repro.lint.engine import PROJECT_RULES, build_project_index, lint_paths, parse_paths
 from repro.lint.findings import Finding
-from repro.lint.incremental import LintCache, default_cache_dir
 from repro.lint.rules import ALL_RULES, KNOWN_CODES
 from repro.lint.sarif import render_sarif
 from repro.util.atomicio import atomic_write_text
@@ -101,28 +86,7 @@ def _list_rules() -> str:
 
 def _dump_graph(paths: List[str], config: LintConfig, out: Path) -> int:
     """Write the whole-program call graph as JSON (``lint-graph`` target)."""
-    parsed: List[ParsedFile] = []
-    for path in iter_python_files(paths):
-        if config.file_excluded(path):
-            continue
-        try:
-            source = path.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            continue
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            continue
-        per_line, per_file = collect_suppressions(source)
-        parsed.append(
-            ParsedFile(
-                path=path,
-                source=source,
-                tree=tree,
-                line_suppressions=per_line,
-                file_suppressions=per_file,
-            )
-        )
+    parsed, _unparsed, _scanned = parse_paths(paths, config)
     index = build_project_index(parsed)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -168,16 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-config", action="store_true", help="ignore pyproject.toml, use built-in defaults"
     )
     parser.add_argument(
-        "--no-incremental",
-        action="store_true",
-        help="disable the results/lint-cache/ incremental cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="incremental-cache directory (default: <config root>/results/lint-cache)",
-    )
-    parser.add_argument(
         "--dump-graph",
         metavar="FILE",
         help="write the whole-program call graph as JSON and exit",
@@ -190,17 +144,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_CLEAN
 
     try:
-        discovered: Optional[Path] = None
         if args.no_config:
             config = LintConfig()
         elif args.config is not None:
-            discovered = Path(args.config)
-            config = load_config(discovered, known_codes=KNOWN_CODES)
+            config = load_config(Path(args.config), known_codes=KNOWN_CODES)
         else:
             # Discover from the first linted path so behaviour does not
             # depend on the caller's working directory.
-            discovered = find_pyproject(Path(args.paths[0]))
-            config = load_config(discovered, known_codes=KNOWN_CODES)
+            config = load_config(find_pyproject(Path(args.paths[0])), known_codes=KNOWN_CODES)
         select = _parse_codes(args.select, "--select")
         ignore = _parse_codes(args.ignore, "--ignore")
         if select is not None or ignore is not None:
@@ -222,19 +173,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"repro-lint: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-    # Incremental caching is opt-out, but only when there is a sensible
-    # place to put the cache: a discovered/explicit config root, or an
-    # explicit --cache-dir.  A bare ``--no-config`` run stays
-    # side-effect-free.
-    cache: Optional[LintCache] = None
-    if not args.no_incremental:
-        if args.cache_dir is not None:
-            cache = LintCache(Path(args.cache_dir), config)
-        elif discovered is not None:
-            cache = LintCache(default_cache_dir(config.root), config)
-
     try:
-        findings, scanned = lint_paths(args.paths, config=config, cache=cache)
+        findings, scanned = lint_paths(args.paths, config=config)
     except FileNotFoundError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -39,7 +39,7 @@ state that lock guards.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Set, Tuple
 
 from repro.lint.findings import Severity
 from repro.lint.graph import FunctionInfo, ProjectIndex, resolve_callable

@@ -4,8 +4,8 @@
 the inline-suppression map, then walks the AST exactly once; each node
 is dispatched to the rules that registered interest in its type.  Rules
 never re-walk the tree, so the cost of a lint run is one ``ast.parse``
-plus one ``tokenize`` pass per file regardless of how many rules are
-registered.
+per file (plus one ``tokenize`` pass for the few files that carry a
+suppression comment) regardless of how many rules are registered.
 
 :func:`lint_paths` layers the **project pass** on top: the same parsed
 trees are handed to :class:`~repro.lint.graph.ProjectIndex` and the
@@ -36,7 +36,6 @@ from repro.lint.concurrency import CONCURRENCY_RULES
 from repro.lint.config import LintConfig
 from repro.lint.findings import Finding, Severity
 from repro.lint.graph import ImportTable, ProjectIndex
-from repro.lint.incremental import LintCache
 from repro.lint.rules import ALL_RULES, PROJECT_CODES, ProjectRule, Rule
 from repro.lint.taint import TAINT_RULES
 
@@ -52,6 +51,7 @@ __all__ = [
     "iter_python_files",
     "lint_paths",
     "lint_source",
+    "parse_paths",
     "run_project_rules",
 ]
 
@@ -77,10 +77,13 @@ def collect_suppressions(source: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
     line number to the codes suppressed on that line and ``per_file`` is
     the set suppressed everywhere; either set may contain the ``"*"``
     sentinel meaning all rules.  Uses :mod:`tokenize` so suppression
-    text inside string literals is ignored.
+    text inside string literals is ignored; a source that never spells
+    ``repro-lint`` has no suppression and is not tokenized.
     """
     per_line: Dict[int, Set[str]] = {}
     per_file: Set[str] = set()
+    if "repro-lint" not in source:
+        return per_line, per_file
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError, SyntaxError):
@@ -135,8 +138,8 @@ class ModuleContext:
     def __init__(self, info: _SourceInfo) -> None:
         self._info = info
         self.findings: List[Finding] = []
-        #: Names of functions defined inside each enclosing function scope.
-        self._nested_def_stack: List[Set[str]] = []
+        #: The enclosing function definitions, outermost first.
+        self._function_stack: List[ast.AST] = []
         self._assert_depth = 0
 
     # -- queries used by rules ---------------------------------------------
@@ -151,7 +154,13 @@ class ModuleContext:
     def is_nested_def(self, name: str) -> bool:
         """True when *name* is a function defined inside an enclosing
         function (i.e. referencing it builds a closure)."""
-        return any(name in scope for scope in self._nested_def_stack)
+        return any(
+            isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and child is not scope
+            and child.name == name
+            for scope in self._function_stack
+            for child in ast.walk(scope)
+        )
 
     # -- reporting ----------------------------------------------------------
 
@@ -244,16 +253,11 @@ class _Walker(ast.NodeVisitor):
         self._ctx._info.imports.add_import_from(node)
 
     def _visit_function(self, node: Union[ast.FunctionDef, ast.AsyncFunctionDef]) -> None:
-        nested = {
-            child.name
-            for child in ast.walk(node)
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child is not node
-        }
-        self._ctx._nested_def_stack.append(nested)
+        self._ctx._function_stack.append(node)
         try:
             self.generic_visit(node)
         finally:
-            self._ctx._nested_def_stack.pop()
+            self._ctx._function_stack.pop()
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._visit_function(node)
@@ -337,6 +341,54 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
     return iter(collected)
 
 
+def parse_paths(
+    paths: Sequence[Union[str, Path]], config: LintConfig
+) -> Tuple[List[ParsedFile], List[Finding], int]:
+    """Read and parse every Python file under *paths* that *config* does
+    not exclude.
+
+    Returns ``(parsed, findings, files_scanned)``: *findings* holds one
+    ``REP000`` per file that cannot be read or parsed.
+    """
+    parsed: List[ParsedFile] = []
+    findings: List[Finding] = []
+    scanned = 0
+    for path in iter_python_files(paths):
+        if config.file_excluded(path):
+            continue
+        scanned += 1
+        try:
+            source = path.read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:
+            findings.append(
+                Finding(
+                    path=str(path),
+                    line=1,
+                    col=0,
+                    code=PARSE_ERROR_CODE,
+                    severity=Severity.ERROR,
+                    message=f"file is unreadable: {exc}",
+                )
+            )
+            continue
+        try:
+            tree = ast.parse(source, filename=str(path))
+        except SyntaxError as exc:
+            findings.append(_parse_error_finding(str(path), exc))
+            continue
+        per_line, per_file = collect_suppressions(source)
+        parsed.append(
+            ParsedFile(
+                path=path,
+                source=source,
+                tree=tree,
+                line_suppressions=per_line,
+                file_suppressions=per_file,
+            )
+        )
+    return parsed, findings, scanned
+
+
 def build_project_index(parsed: Sequence[ParsedFile]) -> ProjectIndex:
     """The whole-program index over *parsed* files (``lint-graph`` entry)."""
     return ProjectIndex.build([(str(f.path), f.tree) for f in parsed])
@@ -365,93 +417,24 @@ def lint_paths(
     config: Optional[LintConfig] = None,
     rules: Sequence[Rule] = ALL_RULES,
     project_rules: Sequence[ProjectRule] = PROJECT_RULES,
-    cache: Optional[LintCache] = None,
 ) -> Tuple[List[Finding], int]:
     """Lint every Python file under *paths*, local pass then project pass.
 
     Returns ``(findings, files_scanned)``; excluded files are neither
-    linted nor counted.  With *cache* (see :mod:`repro.lint.incremental`)
-    unchanged files reuse stored findings and an unchanged tree skips
-    parsing entirely.
+    linted nor counted.
     """
     cfg = config if config is not None else LintConfig()
-    findings: List[Finding] = []
-    scanned = 0
-
-    sources: List[Tuple[Path, Optional[str]]] = []
-    for path in iter_python_files(paths):
-        if cfg.file_excluded(path):
-            continue
-        scanned += 1
-        try:
-            source = path.read_text(encoding="utf-8", errors="replace")
-        except OSError as exc:
-            findings.append(
-                Finding(
-                    path=str(path),
-                    line=1,
-                    col=0,
-                    code=PARSE_ERROR_CODE,
-                    severity=Severity.ERROR,
-                    message=f"file is unreadable: {exc}",
-                )
-            )
-            sources.append((path, None))
-            continue
-        sources.append((path, source))
-
-    readable = [(path, source) for path, source in sources if source is not None]
-    project_enabled = any(cfg.rule_enabled(rule.code) for rule in project_rules)
-
-    if cache is not None:
-        project_key = cache.tree_key(readable) if project_enabled else None
-        cached_project = cache.load_project(project_key) if project_key else None
-    else:
-        project_key = None
-        cached_project = None
-
-    parsed_files: List[ParsedFile] = []
-    need_trees = project_enabled and cached_project is None
-    for path, source in readable:
-        applicable = [rule for rule in rules if cfg.rule_applies(rule.code, path)]
-        cached_local = cache.load_local(path, source) if cache is not None else None
-        if cached_local is not None and not need_trees:
-            findings.extend(cached_local)
-            continue
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            findings.append(_parse_error_finding(str(path), exc))
-            continue
-        per_line, per_file = collect_suppressions(source)
-        parsed_files.append(
-            ParsedFile(
-                path=path,
-                source=source,
-                tree=tree,
-                line_suppressions=per_line,
-                file_suppressions=per_file,
+    parsed, findings, scanned = parse_paths(paths, cfg)
+    for f in parsed:
+        applicable = [rule for rule in rules if cfg.rule_applies(rule.code, f.path)]
+        findings.extend(
+            _lint_tree(
+                f.tree,
+                path=str(f.path),
+                per_line=f.line_suppressions,
+                per_file=f.file_suppressions,
+                rules=applicable,
             )
         )
-        if cached_local is not None:
-            findings.extend(cached_local)
-            continue
-        local = _lint_tree(
-            tree, path=str(path), per_line=per_line, per_file=per_file, rules=applicable
-        )
-        findings.extend(local)
-        if cache is not None:
-            cache.store_local(path, source, local)
-
-    if project_enabled:
-        if cached_project is not None:
-            findings.extend(cached_project)
-        else:
-            project_findings = run_project_rules(
-                parsed_files, config=cfg, rules=project_rules
-            )
-            findings.extend(project_findings)
-            if cache is not None and project_key is not None:
-                cache.store_project(project_key, project_findings)
-
+    findings.extend(run_project_rules(parsed, config=cfg, rules=project_rules))
     return sorted(findings), scanned

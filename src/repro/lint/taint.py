@@ -43,7 +43,8 @@ the right polarity for a self-hosted gate.
 from __future__ import annotations
 
 import ast
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.findings import Severity
 from repro.lint.graph import FunctionInfo, ProjectIndex, resolve_callable
@@ -107,6 +108,8 @@ SANITIZER_PREFIXES: Tuple[str, ...] = (
     "logging",
 )
 
+_SANITIZED_PACKAGES: Tuple[str, ...] = tuple(p + "." for p in SANITIZER_PREFIXES)
+
 #: Cache-identity sink call targets (match after ``resolve_qname``).
 _TASKSPEC_NAMES: FrozenSet[str] = frozenset(
     {"repro.runtime.TaskSpec", "repro.runtime.task.TaskSpec"}
@@ -122,15 +125,20 @@ _FINGERPRINT_SINKS: FrozenSet[str] = frozenset(
 
 _EMPTY: FrozenSet[str] = frozenset()
 
-#: Fixed-point iteration ceiling; any real call graph converges far sooner.
+#: Fixed-point iteration ceiling (rounds of an environment, evaluations
+#: of one function's summary); any real call graph converges far sooner.
 _MAX_ROUNDS = 12
+
+#: One assignment in a function's own scope: the names its target binds
+#: and the value expression they receive.
+_Pair = Tuple[Tuple[str, ...], ast.expr]
 
 
 def is_sanitized(name: Optional[str]) -> bool:
     """True when calls to *name* must not propagate taint or impurity."""
     if name is None:
         return False
-    return any(name == p or name.startswith(p + ".") for p in SANITIZER_PREFIXES)
+    return name in SANITIZER_PREFIXES or name.startswith(_SANITIZED_PACKAGES)
 
 
 def classify_source(name: Optional[str], node: ast.Call) -> Optional[str]:
@@ -159,15 +167,53 @@ def classify_source(name: Optional[str], node: ast.Call) -> Optional[str]:
     return None
 
 
+_NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
+
+
 def _scope_nodes(root: ast.AST) -> Iterator[ast.AST]:
-    """Nodes lexically inside *root*'s own scope (nested defs excluded)."""
+    """Nodes lexically inside *root*'s own scope (nested defs excluded),
+    in the order of a stack walk over ``ast.iter_child_nodes``."""
     stack = list(ast.iter_child_nodes(root))
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+        if isinstance(node, _NESTED_SCOPES):
             continue
         yield node
-        stack.extend(ast.iter_child_nodes(node))
+        for name in node._fields:  # ast.iter_child_nodes, inlined
+            value = getattr(node, name, None)
+            if isinstance(value, list):
+                stack.extend([item for item in value if isinstance(item, ast.AST)])
+            elif isinstance(value, ast.AST):
+                stack.append(value)
+
+
+def _scan_scope(root: ast.AST) -> Tuple[List[_Pair], List[ast.expr]]:
+    """*root*'s assignments and returned values.
+
+    Assignments come in evaluation order, the reverse of
+    :func:`_scope_nodes`, so labels flow down a chain of assignments in
+    one round of :meth:`TaintAnalysis._env`.
+    """
+    pairs: List[_Pair] = []
+    returns: List[ast.expr] = []
+    for node in _scope_nodes(root):
+        targets: List[ast.expr]
+        value: Optional[ast.expr]
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets, value = [node.target], node.value
+        elif isinstance(node, (ast.For, ast.AsyncFor)):
+            targets, value = [node.target], node.iter
+        else:
+            if isinstance(node, ast.Return) and node.value is not None:
+                returns.append(node.value)
+            continue
+        for target in targets:
+            names = tuple(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+            if names and value is not None:
+                pairs.append((names, value))
+    return pairs[::-1], returns
 
 
 def _short(qname: str) -> str:
@@ -191,6 +237,10 @@ class TaintAnalysis:
         self.sink_params: Dict[str, Dict[int, str]] = {}
         #: fn qname -> call chain ending at a source (REP009)
         self.impure: Dict[str, Tuple[str, ...]] = {}
+        #: fn qname -> (assignments, returned values), scanned once
+        self._scopes: Dict[str, Tuple[List[_Pair], List[ast.expr]]] = {}
+        #: fn qname -> environment under the final return summaries
+        self._final_envs: Dict[str, Dict[str, FrozenSet[str]]] = {}
 
     # -- callee lookup ---------------------------------------------------------
 
@@ -306,60 +356,86 @@ class TaintAnalysis:
 
     # -- per-function environments ---------------------------------------------
 
+    def _scope(self, fn: FunctionInfo) -> Tuple[List[_Pair], List[ast.expr]]:
+        scope = self._scopes.get(fn.qname)
+        if scope is None:
+            scope = self._scopes[fn.qname] = _scan_scope(fn.node)
+        return scope
+
     def _env(self, fn: FunctionInfo) -> Dict[str, FrozenSet[str]]:
         """Flow-insensitive local label environment for *fn*."""
         env: Dict[str, FrozenSet[str]] = {
             name: frozenset({f"param:{i}"}) for i, name in enumerate(fn.params)
         }
+        pairs, _returns = self._scope(fn)
         for _ in range(_MAX_ROUNDS):
             changed = False
-            for node in _scope_nodes(fn.node):
-                pairs: List[Tuple[ast.expr, ast.AST]] = []
-                if isinstance(node, ast.Assign):
-                    pairs = [(t, node.value) for t in node.targets]
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    pairs = [(node.target, node.value)]
-                elif isinstance(node, ast.AugAssign):
-                    pairs = [(node.target, node.value)]
-                elif isinstance(node, (ast.For, ast.AsyncFor)):
-                    pairs = [(node.target, node.iter)]
-                elif isinstance(node, ast.NamedExpr):
-                    pairs = [(node.target, node.value)]
-                for target, value in pairs:
-                    labels = self._eval(fn, value, env)
-                    if not labels:
-                        continue
-                    for name_node in ast.walk(target):
-                        if not isinstance(name_node, ast.Name):
-                            continue
-                        have = env.get(name_node.id, _EMPTY)
-                        if not labels <= have:
-                            env[name_node.id] = have | labels
-                            changed = True
+            for names, value in pairs:
+                labels = self._eval(fn, value, env)
+                if not labels:
+                    continue
+                for name in names:
+                    have = env.get(name, _EMPTY)
+                    if not labels <= have:
+                        env[name] = have | labels
+                        changed = True
             if not changed:
                 break
+        return env
+
+    def _final_env(self, fn: FunctionInfo) -> Dict[str, FrozenSet[str]]:
+        """:meth:`_env` under the final return summaries, computed once."""
+        env = self._final_envs.get(fn.qname)
+        if env is None:
+            env = self._final_envs[fn.qname] = self._env(fn)
         return env
 
     # -- fixed points -----------------------------------------------------------
 
     def compute_return_summaries(self) -> None:
-        """Iterate symbolic return summaries to a fixed point."""
-        for _ in range(_MAX_ROUNDS):
-            changed = False
-            for fn in self.index.functions.values():
-                if is_sanitized(fn.qname):
+        """Solve symbolic return summaries with a worklist.
+
+        A function is evaluated again only when one of its callees'
+        summaries changed, and at most ``_MAX_ROUNDS`` times.  The
+        environment of its last evaluation is final unless a callee
+        changed after the ceiling stopped it, so the sink passes reuse it.
+        """
+        callers: Dict[str, Dict[str, None]] = {}  # callee -> ordered set
+        for qname, callees in self._callees.items():
+            if is_sanitized(qname):
+                continue
+            for callee in callees.values():
+                if callee is None:
                     continue
-                env = self._env(fn)
-                labels: Set[str] = set()
-                for node in _scope_nodes(fn.node):
-                    if isinstance(node, ast.Return) and node.value is not None:
-                        labels |= self._eval(fn, node.value, env)
-                new = frozenset(labels)
-                if new != self.returns.get(fn.qname, _EMPTY):
-                    self.returns[fn.qname] = new
-                    changed = True
-            if not changed:
-                break
+                resolved = self.index.resolve_qname(callee)
+                if resolved in self.index.functions:
+                    callers.setdefault(resolved, {})[qname] = None
+        queue: Deque[str] = deque(
+            qname for qname in self.index.functions if not is_sanitized(qname)
+        )
+        queued = set(queue)
+        evaluations: Dict[str, int] = {}
+        while queue:
+            qname = queue.popleft()
+            queued.discard(qname)
+            evaluations[qname] = evaluations.get(qname, 0) + 1
+            fn = self.index.functions[qname]
+            env = self._final_envs[qname] = self._env(fn)
+            labels: Set[str] = set()
+            for value in self._scope(fn)[1]:
+                labels |= self._eval(fn, value, env)
+            new = frozenset(labels)
+            if new == self.returns.get(qname, _EMPTY):
+                continue
+            self.returns[qname] = new
+            for caller in callers.get(qname, ()):
+                if caller in queued:
+                    continue
+                if evaluations.get(caller, 0) < _MAX_ROUNDS:
+                    queue.append(caller)
+                    queued.add(caller)
+                else:
+                    self._final_envs.pop(caller, None)
 
     def _sink_arguments(
         self, fn: FunctionInfo
@@ -407,7 +483,7 @@ class TaintAnalysis:
             for fn in self.index.functions.values():
                 if is_sanitized(fn.qname):
                     continue
-                env = self._env(fn)
+                env = self._final_env(fn)
                 for arg, desc, _node in self._sink_arguments(fn):
                     for label in self._eval(fn, arg, env):
                         if not label.startswith("param:"):
@@ -425,7 +501,7 @@ class TaintAnalysis:
         for fn in self.index.functions.values():
             if is_sanitized(fn.qname):
                 continue
-            env = self._env(fn)
+            env = self._final_env(fn)
             seen: Set[int] = set()
             for arg, desc, _node in self._sink_arguments(fn):
                 if id(arg) in seen:

@@ -21,7 +21,6 @@ published descriptions:
   daily-cycle arrival process (Lublin, 1999).
 """
 
-from repro.models.arrivals import ClosedLoopArrivals, OpenLoopArrivals
 from repro.models.base import WorkloadModel
 from repro.models.feitelson96 import Feitelson96Model
 from repro.models.feitelson97 import Feitelson97Model
@@ -41,8 +40,6 @@ from repro.models.validation import (
 
 __all__ = [
     "WorkloadModel",
-    "OpenLoopArrivals",
-    "ClosedLoopArrivals",
     "Feitelson96Model",
     "Feitelson97Model",
     "DowneyModel",

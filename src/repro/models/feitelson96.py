@@ -23,8 +23,6 @@ workloads.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.models.base import WorkloadModel

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 __all__ = ["METRICS_NAME", "METRICS_SCHEMA_VERSION", "MetricsRegistry", "WALL_BUCKETS"]
 

@@ -11,7 +11,7 @@ and web-traffic studies the paper cites.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -16,8 +16,6 @@ order-statistic based:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.util.validation import check_1d

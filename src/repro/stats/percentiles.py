@@ -10,7 +10,6 @@ use *order moments*: the median and the 90% interval (difference between the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

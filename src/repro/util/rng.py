@@ -11,7 +11,7 @@ synthesizer) without any correlation between them.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 

@@ -12,7 +12,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.workload.fields import MISSING
 from repro.workload.workload import Workload
 
 __all__ = [

@@ -8,7 +8,7 @@ by the SWF parser tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 from repro.workload.fields import MISSING, STATUS_COMPLETED
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields as dc_fields
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.obs.spans import span as obs_span
 from repro.util.atomicio import atomic_write_text
-from repro.workload.fields import FIELD_NAMES, MISSING, SWF_FIELDS
+from repro.workload.fields import MISSING, SWF_FIELDS
 from repro.workload.workload import MachineInfo, Workload
 
 __all__ = [

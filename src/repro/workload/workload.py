@@ -8,8 +8,8 @@ operations over per-job loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 

@@ -1,7 +1,5 @@
 """Tests for the MDS stack: classical scaling, alienation, SMACOF, SSA."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coplot import Coplot, CoplotResult
+from repro.coplot import Coplot
 
 
 @pytest.fixture

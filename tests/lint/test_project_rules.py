@@ -7,17 +7,24 @@ every seeded finding lands at its marked line — and nothing else is
 flagged.  The synthetic trees below then pin down the individual
 mechanisms: sanitizer modules, sink-param propagation, entry locksets,
 pool-kind discrimination, the ``*_io_lock`` convention, inline
-suppressions, and enable/disable config.
+suppressions, and enable/disable config.  Last, REP008's worklist is
+pinned to the round-based fixed point it replaced (``oracles.lint``).
 """
 
 import shutil
 import textwrap
 from pathlib import Path
 
+import pytest
+from oracles.lint import RoundBasedTaintAnalysis
+
 from repro.lint.config import LintConfig
-from repro.lint.engine import lint_paths
+from repro.lint.engine import build_project_index, lint_paths, parse_paths
+from repro.lint.taint import TaintAnalysis
 
 CASES = Path(__file__).resolve().parent / "cases"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SERVICE = Path(__file__).resolve().parents[2] / "src" / "repro" / "service"
 
 PROJECT_CODES = ("REP008", "REP009", "REP010", "REP011", "REP012")
 
@@ -383,3 +390,33 @@ class TestSuppressions:
             "REP008",
             "REP009",
         ]
+
+
+def _rep008_state(analysis):
+    analysis.compute_return_summaries()
+    analysis.compute_sink_params()
+    tainted = [
+        (fn.qname, arg.lineno, arg.col_offset, desc, sources)
+        for fn, arg, desc, sources in analysis.tainted_sink_args()
+    ]
+    return analysis.returns, analysis.sink_params, tainted
+
+
+class TestReturnSummaryWorklist:
+    # The service tree is the input whose summaries chain through enough
+    # callers to catch a worklist that never re-queues them.
+    @pytest.mark.parametrize(
+        "root, sizes",
+        [(CASES, (11, 3, 2)), (FIXTURES, (10, 0, 1)), (SERVICE, None)],
+        ids=["cases", "fixtures", "service"],
+    )
+    def test_matches_round_based_fixed_point(self, root, sizes):
+        parsed, _, _ = parse_paths([root], LintConfig())
+        index = build_project_index(parsed)
+        state = _rep008_state(TaintAnalysis(index))
+        assert state == _rep008_state(RoundBasedTaintAnalysis(index))
+        returns, sink_params, tainted = state
+        if sizes is None:
+            assert returns and sink_params
+        else:
+            assert (len(returns), len(sink_params), len(tainted)) == sizes

@@ -1,7 +1,5 @@
 """CLI tests for ``python -m repro.obs``: exit codes and output formats."""
 
-import json
-
 import pytest
 
 from repro.obs import TraceWriter, Tracer, MetricsRegistry

@@ -18,16 +18,19 @@ unchanged in its arithmetic, as the kernel's equivalence oracle:
   loops, for :mod:`repro.selfsim.rs_analysis` and
   :mod:`repro.selfsim.variance_time`;
 * :mod:`oracles.swf` — SWF parse, read and render on the per-line scan
-  and per-row renderer only, for :mod:`repro.workload.swf`.
+  and per-row renderer only, for :mod:`repro.workload.swf`;
+* :mod:`oracles.lint` — the round-based fixed point of REP008's return
+  summaries, for the worklist in :mod:`repro.lint.taint`.
 
 They are not dead code.  Two consumers run them on every change: the
 equivalence suites (``tests/*/test_*equivalence.py``,
 ``tests/workload/test_swf_fast.py``, the bootstrap tests in
-``tests/coplot/test_extend.py``), which assert the fast path agrees
-with its oracle bit for bit or within a stated tolerance, and the
-kernel speedup gate (``make perf-bench``, ``benchmarks/perf_kernels.py``),
-which times each fast kernel against its oracle.  Without them both the
-equivalence claims and the speedup floors would be one-time statements.
+``tests/coplot/test_extend.py``, ``tests/lint/test_project_rules.py``),
+which assert the fast path agrees with its oracle bit for bit or within
+a stated tolerance, and the kernel speedup gate (``make perf-bench``,
+``benchmarks/perf_kernels.py``), which times each fast kernel against its
+oracle.  Without them both the equivalence claims and the speedup floors
+would be one-time statements.
 
 The oracles share with the product only what bitwise equality depends
 on: the RNG draw plans (each model's ``_draw_blocks``, the user-session
