@@ -1,10 +1,15 @@
-"""Engine-level behaviour: alias resolution, suppressions, parse errors."""
+"""Engine-level behaviour: alias resolution, suppressions, parse errors,
+and the read/parse loop both the lint pass and ``--dump-graph`` share."""
 
 import ast
 import textwrap
+import tokenize
 
-from repro.lint import PARSE_ERROR_CODE, Severity, lint_source
-from repro.lint.engine import ImportTable, collect_suppressions
+import pytest
+
+import repro.lint.engine as engine
+from repro.lint import PARSE_ERROR_CODE, LintConfig, Severity, lint_source
+from repro.lint.engine import ImportTable, collect_suppressions, parse_paths
 
 
 def codes(source):
@@ -141,6 +146,23 @@ class TestSuppressions:
         assert per_file == {"REP005"}
         assert per_line == {2: {"REP001", "REP002"}}
 
+    def test_only_sources_that_spell_the_marker_are_tokenized(self, monkeypatch):
+        calls = []
+        real = tokenize.generate_tokens
+
+        def counting(readline):
+            calls.append(1)
+            return real(readline)
+
+        monkeypatch.setattr(engine.tokenize, "generate_tokens", counting)
+        assert collect_suppressions("import time\nt = time.time()  # noqa\n") == ({}, set())
+        assert calls == []
+        assert collect_suppressions("t = 1  # repro-lint: disable=REP003\n") == (
+            {1: {"REP003"}},
+            set(),
+        )
+        assert calls == [1]
+
 
 class TestParseErrors:
     def test_syntax_error_becomes_finding(self):
@@ -149,3 +171,51 @@ class TestParseErrors:
         assert f.path == "bad.py"
         assert f.severity is Severity.ERROR
         assert "does not parse" in f.message
+
+
+def _tree(tmp_path, files):
+    for rel, source in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source), encoding="utf-8")
+    return tmp_path
+
+
+class TestParsePaths:
+    def test_unparsable_file_is_a_finding_and_still_counted(self, tmp_path):
+        tree = _tree(tmp_path, {"good.py": "x = 1\n", "bad.py": "def broken(:\n"})
+        parsed, findings, scanned = parse_paths([tree], LintConfig())
+        assert [f.path.name for f in parsed] == ["good.py"]
+        (finding,) = findings
+        assert (finding.path, finding.code) == (str(tree / "bad.py"), PARSE_ERROR_CODE)
+        assert scanned == 2
+
+    def test_excluded_files_are_neither_parsed_nor_counted(self, tmp_path):
+        tree = _tree(tmp_path, {"a.py": "x = 1\n", "vendor/b.py": "y = 2\n"})
+        config = LintConfig(root=tree, exclude=("vendor/*",))
+        parsed, findings, scanned = parse_paths([tree], config)
+        assert [f.path.name for f in parsed] == ["a.py"]
+        assert findings == []
+        assert scanned == 1
+
+    def test_parsed_files_carry_their_suppressions(self, tmp_path):
+        tree = _tree(
+            tmp_path,
+            {
+                "quiet.py": """\
+                    # repro-lint: disable-file=REP005
+                    x = 1  # repro-lint: disable=REP003
+                    """,
+                "plain.py": "y = 2\n",
+            },
+        )
+        parsed, _, _ = parse_paths([tree], LintConfig())
+        by_name = {f.path.name: f for f in parsed}
+        assert by_name["quiet.py"].file_suppressions == {"REP005"}
+        assert by_name["quiet.py"].line_suppressions == {2: {"REP003"}}
+        assert by_name["plain.py"].file_suppressions == set()
+        assert by_name["plain.py"].line_suppressions == {}
+
+    def test_missing_path_raises(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            parse_paths([tmp_path / "nope"], LintConfig())

@@ -1,4 +1,4 @@
-"""CLI behaviour: exit codes, formats, --output, rule selection."""
+"""CLI behaviour: exit codes, formats, --output, rule selection, --dump-graph."""
 
 import json
 import shutil
@@ -109,3 +109,50 @@ class TestConfigDiscovery:
         config.write_text("[tool.repro-lint]\ndisable = ['REP999']\n", encoding="utf-8")
         assert main([str(fixture_tree), "--config", str(config)]) == EXIT_USAGE
         assert "REP999" in capsys.readouterr().err
+
+
+class TestDumpGraph:
+    def test_writes_the_call_graph_of_the_linted_files(self, fixture_tree, tmp_path, capsys):
+        out = tmp_path / "graphs" / "lint-graph.json"
+        assert main([str(fixture_tree), "--no-config", "--dump-graph", str(out)]) == EXIT_CLEAN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        files = sorted(str(p) for p in fixture_tree.glob("*.py"))
+        assert f"call graph over {len(files)} file(s)" in captured.err
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert sorted(m["path"] for m in doc["modules"].values()) == files
+
+    def test_config_excludes_apply_to_the_graph(self, fixture_tree, tmp_path, capsys):
+        (fixture_tree.parent / "pyproject.toml").write_text(
+            "[tool.repro-lint]\nexclude = ['fixtures/rep*']\n", encoding="utf-8"
+        )
+        out = tmp_path / "lint-graph.json"
+        assert main([str(fixture_tree), "--dump-graph", str(out)]) == EXIT_CLEAN
+        assert "call graph over 1 file(s)" in capsys.readouterr().err
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert [m["path"] for m in doc["modules"].values()] == [str(fixture_tree / "clean.py")]
+
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "lint-graph.json"
+        args = [str(tmp_path / "nope"), "--no-config", "--dump-graph", str(out)]
+        assert main(args) == EXIT_USAGE
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNoCacheOptions:
+    # The linter keeps no cache, so the options that steered one are gone.
+    @pytest.mark.parametrize(
+        "flags",
+        [["--no-incremental"], ["--cache-dir", "lint-cache"]],
+        ids=["no-incremental", "cache-dir"],
+    )
+    def test_cache_options_are_usage_errors(
+        self, fixture_tree, tmp_path, monkeypatch, capsys, flags
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(fixture_tree), "--no-config", *flags])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "lint-cache").exists()

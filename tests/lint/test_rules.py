@@ -173,6 +173,80 @@ class TestRep004CacheSafety:
             """
         ) == ["REP004"]
 
+    def test_def_nested_two_levels_down_is_flagged(self):
+        assert codes(
+            """\
+            from repro.runtime import TaskSpec
+            def build():
+                def helper():
+                    def inner():
+                        return 1
+                    return inner
+                return TaskSpec(id="x", fn=inner)
+            """
+        ) == ["REP004"]
+
+    def test_def_in_an_outer_enclosing_function_is_flagged(self):
+        assert codes(
+            """\
+            from repro.runtime import TaskSpec
+            def build():
+                def inner():
+                    return 1
+                def make():
+                    return TaskSpec(id="x", fn=inner)
+                return make
+            """
+        ) == ["REP004"]
+
+    def test_nested_async_def_fn(self):
+        assert codes(
+            """\
+            from repro.runtime import TaskSpec
+            def build():
+                async def inner():
+                    return 1
+                return TaskSpec(id="x", fn=inner)
+            """
+        ) == ["REP004"]
+
+    def test_def_nested_in_a_sibling_function_is_clean(self):
+        # Only the functions enclosing the TaskSpec call make a closure;
+        # ``work`` here names the module-level function.
+        assert (
+            codes(
+                """\
+                from repro.runtime import TaskSpec
+                def other():
+                    def work():
+                        return 1
+                    return work
+                def work():
+                    return 2
+                def build():
+                    return TaskSpec(id="x", fn=work)
+                """
+            )
+            == []
+        )
+
+    def test_module_level_spec_ignores_nested_defs_elsewhere(self):
+        assert (
+            codes(
+                """\
+                from repro.runtime import TaskSpec
+                def other():
+                    def work():
+                        return 1
+                    return work
+                def work():
+                    return 2
+                spec = TaskSpec(id="x", fn=work)
+                """
+            )
+            == []
+        )
+
     def test_non_json_kwargs(self):
         assert codes(
             """\
