@@ -12,7 +12,7 @@ import pytest
 from repro.coplot import Coplot, procrustes_disparity
 from repro.experiments.common import FIGURE1_SIGNS, production_matrix
 from repro.workload.variables import observation_matrix
-from repro.archive.targets import PRODUCTION_NAMES, TABLE1
+from repro.archive.targets import PRODUCTION_NAMES
 
 pytestmark = pytest.mark.benchmark(group="ablations")
 

@@ -8,12 +8,13 @@ majorization.  Multiple restarts (one deterministic from classical scaling,
 the rest random) guard against local minima; the best configuration is kept.
 
 Every restart runs in lockstep as one ``(k, n, dim)`` tensor — batched
-Guttman transforms, per-restart vectorized PAVA, cached ``triu`` indices,
-and no per-iteration input re-validation.  The one-restart-at-a-time
-scalar path this replaced is the equivalence oracle in
-``tests/oracles/mds.py``; the property tests assert both select the same
-restart and agree on coordinates to 1e-9 (see docs/PERFORMANCE.md for
-the inputs that claim covers).
+Guttman transforms, per-restart vectorized PAVA, distances and
+disparities on the n(n-1)/2 point pairs, and no per-iteration input
+re-validation.  The one-restart-at-a-time scalar path this replaced is
+the equivalence oracle in ``tests/oracles/mds.py``, beside the first
+lockstep loop: the property tests assert the scalar path selects the
+same restart and agrees on coordinates to 1e-9 (see docs/PERFORMANCE.md
+for the inputs that claim covers), and the lockstep loop every bit.
 
 The batch rows need not share a problem: :func:`_solve_many` stacks the
 restarts of many same-size problems into batches of bounded size (what
@@ -48,7 +49,7 @@ __all__ = ["smacof"]
 
 _TRANSFORMS = ("metric", "isotonic", "rank-image")
 
-# Entries in each (rows, n, n) working array of one _run_batch call (8 MB
+# Entries in the (rows, n²) Guttman B matrix of one _run_batch call (8 MB
 # of float64); _solve_many slices bigger stacks so peak memory stays flat.
 _BATCH_CELLS = 1 << 20
 
@@ -61,24 +62,6 @@ def _triu(n: int) -> Tuple[np.ndarray, np.ndarray]:
     iteration via ``_to_matrix``; the cache makes it once per size.
     """
     return np.triu_indices(n, k=1)
-
-
-def _batched_pairwise(coords: np.ndarray) -> np.ndarray:
-    """(k, n, dim) configurations -> (k, n, n) Euclidean distances.
-
-    Accumulates squared differences one coordinate axis at a time: the
-    same left-to-right summation a reduction over a short last axis
-    performs, without materializing the (k, n, n, dim) temporary.
-    """
-    sq = None
-    for a in range(coords.shape[2]):
-        diff = coords[:, :, None, a] - coords[:, None, :, a]
-        diff *= diff
-        if sq is None:
-            sq = diff
-        else:
-            sq += diff
-    return np.sqrt(sq)
 
 
 class _OrderKeys:
@@ -141,6 +124,8 @@ def _batched_disparities(
 
     Row j's dissimilarities are ``sv_rows[j]`` and its dissimilarity
     order is ``orders[j]`` (the metric transform needs no order).
+    :func:`_run_batch` calls this for the metric transform only; it writes
+    the nonmetric ones through a flat index, to the same values.
     """
     if transform == "metric":
         denom = _row_sums(sv_rows * sv_rows)
@@ -173,33 +158,16 @@ def _batched_stress(dhat: np.ndarray, dv: np.ndarray) -> np.ndarray:
     return stress
 
 
-def _to_matrix_batch(flat: np.ndarray, n: int) -> np.ndarray:
-    """(k, m) disparity vectors -> (k, n, n) symmetric matrices."""
+@lru_cache(maxsize=128)
+def _pair_maps(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Cached maps between the m pairs and an n x n matrix: ``ends``, the
+    pairs' first then second points in ``_triu`` order, and ``cells``,
+    each flat cell's column in a (rows, 1 + m) array: 0 on the diagonal,
+    1 + the pair's index at (i, j) and (j, i)."""
     iu = _triu(n)
-    mat = np.zeros((flat.shape[0], n, n))
-    mat[:, iu[0], iu[1]] = flat
-    mat[:, iu[1], iu[0]] = flat
-    return mat
-
-
-def _batched_guttman(
-    coords: np.ndarray, dhat_mat: np.ndarray, d: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Guttman transform for a (k, n, dim) batch with unit weights.
-
-    *d* lets the caller pass the distances it already computed for these
-    configurations this iteration instead of recomputing them.
-    """
-    n = coords.shape[1]
-    if d is None:
-        d = _batched_pairwise(coords)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(d > 0, dhat_mat / np.where(d > 0, d, 1.0), 0.0)
-    b = -ratio
-    ar = np.arange(n)
-    b[:, ar, ar] = 0.0
-    b[:, ar, ar] = -b.sum(axis=2)
-    return (b @ coords) / n
+    cells = np.zeros((n, n), dtype=np.intp)
+    cells[iu] = cells[iu[1], iu[0]] = np.arange(1, iu[0].size + 1)
+    return np.concatenate(iu), cells.ravel()
 
 
 def _run_batch(
@@ -216,59 +184,111 @@ def _run_batch(
     *sv* is (k, m): row j embeds ``sv[j]`` from ``starts[j]``.  The
     restarts of one problem repeat its vector; rows of different problems
     carry their own, which is how :func:`_solve_many` batches problems.
+
+    The rows still iterating are kept compacted, and a row's results go
+    to its own index in the iteration it stops.  Distances, disparities
+    and the Guttman ratios live on the m pairs; only the transform's B
+    matrix is n x n.
     """
     k, m = sv.shape
     coords = starts.copy()
-    stress_prev = np.full(k, math.inf)
+    stress = np.full(k, math.inf)
     n_iter = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
-    active = np.ones(k, dtype=bool)
-    iu = _triu(n)
+    ends, cells = _pair_maps(n)
     keys = _OrderKeys(m)
     # Per-row tie rule: a row without tied dissimilarities keeps one sort
     # order for the whole run (the distance key of the lexsort only breaks
     # sv ties), so it is sorted once; only tied rows are lexsorted again
     # every iteration.
-    static_orders = np.argsort(sv, axis=1, kind="stable")
-    sv_sorted = np.take_along_axis(sv, static_orders, axis=1)
-    tied = (sv_sorted[:, 1:] == sv_sorted[:, :-1]).any(axis=1)
+    orders = np.argsort(sv, axis=1, kind="stable")
+    sv_sorted = np.take_along_axis(sv, orders, axis=1)
+    tie = (sv_sorted[:, 1:] == sv_sorted[:, :-1]).any(axis=1)
+    # The working set: the rows still iterating, in batch order, their
+    # orders as flat positions in a C-ordered (rows, m) buffer, and their
+    # Guttman ratios in the leading rows of a buffer whose column 0 is +0.0.
+    rows, x, s, prev = np.arange(k), coords, sv, stress
+    base = np.arange(k)[:, None] * m
+    flat, redo = orders + base, np.flatnonzero(tie)
+    ratios = np.zeros((k, 1 + m))
+    it = 0
     for it in range(1, max_iter + 1):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        d = _batched_pairwise(coords[idx])
-        dv = d[:, iu[0], iu[1]]
-        sv_rows = sv[idx]
-        orders = None
-        if transform != "metric":
-            orders = static_orders[idx]
-            redo = tied[idx]
-            if redo.any():
-                orders[redo] = _batched_orders(sv_rows[redo], dv[redo], keys)
-        dhat = _batched_disparities(sv_rows, dv, transform, orders)
+        # Pair distances in _triu order, each pair's squared differences
+        # summed from axis 0.
+        xy = x.take(ends, axis=1)
+        diff = xy[:, :m] - xy[:, m:]
+        diff *= diff
+        sq = diff[:, :, 0]
+        for a in range(1, diff.shape[2]):
+            sq = sq + diff[:, :, a]
+        dv = np.sqrt(sq)
+        if transform == "metric":
+            dhat = _batched_disparities(s, dv, transform, None)
+        else:
+            if redo.size:
+                flat[redo] = _batched_orders(s[redo], dv[redo], keys) + base[redo]
+            dhat = np.empty(dv.size)
+            if transform == "isotonic":
+                dhat[flat] = _pava_rows(dv.take(flat))
+            else:
+                # Rank-image: positions listed in dissimilarity order
+                # receive the sorted distances.
+                dhat[flat] = np.sort(dv, axis=1)
+            dhat = dhat.reshape(dv.shape)
         norm = _row_sums(dhat * dhat)
-        n_iter[idx] = it
-        # Rows whose disparities collapsed stop with their stress
-        # untouched and not converged.
-        live = norm > 0
-        if live.any():
+        denom = _row_sums(dv * dv)
+        if norm.min() > 0 and denom.min() > 0:
+            dhat *= np.sqrt(m / norm)[:, None]
+            new = np.sqrt(_row_sums((dhat - dv) ** 2) / denom)
+            stop = done = np.abs(prev - new) < tol
+        else:
+            # Rows whose disparities collapsed stop with their stress
+            # untouched and not converged; the others' stress takes
+            # _batched_stress's zero-distance rule.
+            live = norm > 0
             li = np.flatnonzero(live)
-            dhat_l = dhat[li] * np.sqrt(m / norm[li])[:, None]
-            stress = _batched_stress(dhat_l, dv[li])
+            dhat[li] *= np.sqrt(m / norm[li])[:, None]
+            new = prev.copy()
+            new[li] = _batched_stress(dhat[li], dv[li])
+            done = np.zeros(rows.size, dtype=bool)
             with np.errstate(invalid="ignore"):
-                newly_conv = np.abs(stress_prev[idx[li]] - stress) < tol
-            converged[idx[li[newly_conv]]] = True
-            stress_prev[idx[li]] = stress
-            go = li[~newly_conv]
-            if go.size:
-                gi = idx[go]
-                coords[gi] = _batched_guttman(
-                    coords[gi], _to_matrix_batch(dhat_l[~newly_conv], n), d=d[go]
-                )
-            active[idx[li[newly_conv]]] = False
-        active[idx[~live]] = False
+                done[li] = np.abs(prev[li] - new[li]) < tol
+            stop = done | ~live
+        prev = new
+        if stop.any():
+            # Stopped rows take no step: a converged row leaves with its
+            # new stress, a collapsed one with its previous stress.
+            out = rows[stop]
+            coords[out] = x[stop]
+            stress[out] = prev[stop]
+            n_iter[out] = it
+            converged[out] = done[stop]
+            go = ~stop
+            rows, x, s, orders, tie, prev, dv, dhat = (
+                a[go] for a in (rows, x, s, orders, tie, prev, dv, dhat)
+            )
+            if not rows.size:
+                break
+            flat, redo = orders + base[: rows.size], np.flatnonzero(tie)
+        # Guttman transform: B holds -dhat/d off the diagonal (0 where d
+        # is 0), gathered from the pairs and column 0's +0.0, and minus
+        # its row sums on the diagonal.
+        r = ratios[: rows.size, 1:]
+        if dv.min() > 0:
+            np.divide(dhat, dv, out=r)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                r[...] = np.where(dv > 0, dhat / np.where(dv > 0, dv, 1.0), 0.0)
+        np.negative(r, out=r)
+        b = ratios[: rows.size].take(cells, axis=1)
+        b3 = b.reshape(rows.size, n, n)
+        np.negative(b3.sum(axis=2), out=b[:, :: n + 1])
+        x = (b3 @ x) / n
+    coords[rows] = x
+    stress[rows] = prev
+    n_iter[rows] = it
     coords = coords - coords.mean(axis=1, keepdims=True)
-    return coords, stress_prev, n_iter, converged
+    return coords, stress, n_iter, converged
 
 
 def _solve_many(

@@ -37,7 +37,7 @@ def eliminate_variables(
     min_variables: int = 2,
     coplot: Optional[Coplot] = None,
     drop_per_round: int = 1,
-) -> Tuple[CoplotResult, List[str]]:
+) -> Tuple[CoplotResult, List[str], CoplotResult]:
     """Iteratively drop the worst-fitting variables.
 
     Each round runs Co-plot and removes the lowest-correlation variable
@@ -47,9 +47,10 @@ def eliminate_variables(
 
     Returns
     -------
-    (result, removed):
-        The final :class:`~repro.coplot.model.CoplotResult` and the list of
-        removed variable signs in removal order.
+    (result, removed, first):
+        The final :class:`~repro.coplot.model.CoplotResult`, the list of
+        removed variable signs in removal order, and the first round's
+        fit of every variable (*result* itself when nothing was removed).
     """
     mat = check_2d(y, "y")
     p = mat.shape[1]
@@ -64,8 +65,11 @@ def eliminate_variables(
 
     keep = list(range(p))
     removed: List[str] = []
+    first = None
     while True:
         result = cp.fit(mat[:, keep], labels=labels, signs=[signs[j] for j in keep])
+        if first is None:
+            first = result
         corr = result.correlations
         worst_order = np.argsort(corr)
         to_drop = [
@@ -74,7 +78,7 @@ def eliminate_variables(
             if corr[j] < min_correlation
         ]
         if not to_drop or len(keep) - len(to_drop) < min_variables:
-            return result, removed
+            return result, removed, first
         for j in sorted(to_drop, reverse=True):
             removed.append(signs[keep[j]])
             del keep[j]

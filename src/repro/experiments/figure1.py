@@ -78,8 +78,7 @@ def run_figure1(*, seed: int = 0) -> Figure1Result:
 
     # The elimination procedure, from all 18 variables.
     y_all, labels_all = production_matrix(list(VARIABLES))
-    full = cp.fit(y_all, labels=labels_all, signs=list(VARIABLES))
-    eliminated, removed = eliminate_variables(
+    eliminated, removed, full = eliminate_variables(
         y_all,
         labels=labels_all,
         signs=list(VARIABLES),

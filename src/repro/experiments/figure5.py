@@ -114,7 +114,7 @@ def run_figure5(
         signs = [signs[j] for j in keep]
 
     cp = default_coplot()
-    fitted, removed = eliminate_variables(
+    fitted, removed, _ = eliminate_variables(
         y,
         labels=labels,
         signs=signs,

@@ -3,27 +3,3 @@
 These helpers are deliberately dependency-light; everything else in
 :mod:`repro` builds on them.
 """
-
-from repro.util.atomicio import atomic_write_text
-from repro.util.rng import as_generator, spawn_children
-from repro.util.tables import format_table, format_matrix
-from repro.util.validation import (
-    check_1d,
-    check_2d,
-    check_positive,
-    check_probability,
-    check_in_range,
-)
-
-__all__ = [
-    "as_generator",
-    "atomic_write_text",
-    "spawn_children",
-    "format_table",
-    "format_matrix",
-    "check_1d",
-    "check_2d",
-    "check_positive",
-    "check_probability",
-    "check_in_range",
-]

@@ -3,18 +3,24 @@
 Batched SMACOF and the block-merge PAVA are perf rewrites of scalar
 loops, which live on in ``tests/oracles/mds.py``; these tests are the
 permanent guarantee that the rewrite changed the speed and nothing else.
+The lockstep loop is pinned the same way to the loop it replaced, bit
+for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.coplot.mds.base import pairwise_euclidean
 from repro.coplot.mds.monotone import _pava_rows, isotonic_regression
-from repro.coplot.mds.smacof import smacof
+from repro.coplot.mds.smacof import _run_batch, smacof
 
-from oracles.mds import isotonic_regression_reference, smacof_reference
+from oracles.mds import isotonic_regression_reference, run_batch_reference, smacof_reference
+
+_TRANSFORMS = ["metric", "isotonic", "rank-image"]
 
 # Values with frequent exact ties (halves) plus generic floats: PAVA's
 # block merging is most delicate around equal neighbours.
@@ -111,3 +117,72 @@ class TestSmacofEngineEquivalence:
         a = smacof(d, seed=7, n_init=1)
         b = smacof_reference(d, seed=7, n_init=1)
         np.testing.assert_allclose(a.coords, b.coords, rtol=0, atol=1e-9)
+
+
+def _lockstep_batch(seed, k, dim, start):
+    """A (k, m) batch and its starts.  Rows alternate between tie-free
+    Euclidean dissimilarities and tied integer city-block ones with a
+    duplicated observation.  A ``coincident`` start puts two points of
+    row 0 on each other (a zero distance); an ``all-equal`` start puts
+    every point of the last row on one spot (disparities that collapse).
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 10))
+    iu = np.triu_indices(n, 1)
+    rows = []
+    for j in range(k):
+        if (seed + j) % 2:
+            x = rng.normal(size=(n, 3))
+            d = np.sqrt(((x[:, None] - x[None]) ** 2).sum(axis=2))
+        else:
+            x = rng.integers(0, 4, size=(n, 3)).astype(float)
+            x[-1] = x[0]
+            d = np.abs(x[:, None] - x[None]).sum(axis=2)
+        rows.append(d[iu])
+    starts = rng.normal(size=(k, n, dim))
+    if start == "coincident":
+        starts[0, 1] = starts[0, 0]
+    elif start == "all-equal":
+        starts[-1] = 0.5
+    return np.stack(rows), n, starts
+
+
+class TestLockstepLoopEquivalence:
+    """``_run_batch`` against the loop it replaced (``run_batch_reference``):
+    coords, stress, ``n_iter`` and ``converged`` are equal byte for byte."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        transform=st.sampled_from(_TRANSFORMS),
+        dim=st.sampled_from([1, 2, 3]),
+        k=st.sampled_from([1, 3, 8]),
+        max_iter=st.sampled_from([1, 2, 7, 500]),
+        tol=st.sampled_from([1e-10, 1e-3]),
+        start=st.sampled_from(["random", "coincident", "all-equal"]),
+    )
+    @example(seed=1, transform="rank-image", dim=3, k=8, max_iter=500, tol=1e-3, start="coincident")
+    @example(seed=2, transform="isotonic", dim=3, k=8, max_iter=500, tol=1e-3, start="all-equal")
+    @example(seed=3, transform="metric", dim=3, k=3, max_iter=7, tol=1e-10, start="coincident")
+    @settings(max_examples=100, deadline=None)
+    def test_same_bits(self, seed, transform, dim, k, max_iter, tol, start):
+        sv, n, starts = _lockstep_batch(seed, k, dim, start)
+        got = _run_batch(sv, n, starts, transform, max_iter, tol)
+        want = run_batch_reference(sv, n, starts, transform, max_iter, tol)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("transform", _TRANSFORMS)
+    def test_rows_stop_every_way_in_different_iterations(self, transform):
+        """The batch the comparison needs: a row that collapses, rows that
+        converge at different iterations, and rows stopped by the cap."""
+        sv, n, starts = _lockstep_batch(2, 8, 3, "all-equal")
+        _, stress, n_iter, converged = _run_batch(sv, n, starts, transform, 500, 1e-3)
+        assert (n_iter[-1], stress[-1], converged[-1]) == (1, math.inf, False)
+        assert converged[:-1].all()
+        assert len(set(n_iter[:-1].tolist())) > 1
+        _, stress, n_iter, converged = _run_batch(sv, n, starts, transform, 2, 1e-10)
+        assert not converged.any()
+        assert n_iter[:-1].tolist() == [2] * 7
+        assert np.isfinite(stress[:-1]).all()
+

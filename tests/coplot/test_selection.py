@@ -26,7 +26,7 @@ FAST = Coplot(n_init=2, max_iter=200)
 
 class TestEliminateVariables:
     def test_noise_removed(self, data_with_noise):
-        result, removed = eliminate_variables(
+        result, removed, _ = eliminate_variables(
             data_with_noise,
             signs=["A", "B", "C", "D", "N"],
             min_correlation=0.85,
@@ -36,22 +36,34 @@ class TestEliminateVariables:
         assert "N" not in result.signs
 
     def test_fit_improves(self, data_with_noise):
-        full = FAST.fit(data_with_noise)
-        result, _ = eliminate_variables(
+        result, _, first = eliminate_variables(
             data_with_noise, min_correlation=0.85, coplot=FAST
         )
-        assert result.average_correlation >= full.average_correlation
+        assert result.average_correlation >= first.average_correlation
+
+    def test_first_round_is_the_fit_of_every_variable(self, data_with_noise):
+        signs = ["A", "B", "C", "D", "N"]
+        result, removed, first = eliminate_variables(
+            data_with_noise, signs=signs, min_correlation=0.85, coplot=FAST
+        )
+        assert removed and first is not result
+        full = FAST.fit(data_with_noise, signs=signs)
+        assert first.signs == full.signs
+        np.testing.assert_array_equal(first.coords, full.coords)
+        np.testing.assert_array_equal(first.correlations, full.correlations)
+        assert first.alienation == full.alienation
 
     def test_nothing_removed_when_all_fit(self, rng):
         base = rng.normal(size=(8, 2))
         y = np.column_stack([base[:, 0], base[:, 1]])
-        result, removed = eliminate_variables(y, min_correlation=0.5, coplot=FAST)
+        result, removed, first = eliminate_variables(y, min_correlation=0.5, coplot=FAST)
         assert removed == []
         assert len(result.signs) == 2
+        assert first is result
 
     def test_min_variables_floor(self, rng):
         y = rng.normal(size=(8, 4))
-        result, removed = eliminate_variables(
+        result, removed, _ = eliminate_variables(
             y, min_correlation=0.999, min_variables=3, coplot=FAST
         )
         assert len(result.signs) >= 3
@@ -66,7 +78,7 @@ class TestEliminateVariables:
         # Four strongly planted variables plus one noise column: the FIRST
         # drop must be the noise variable (later rounds may legitimately
         # reorganize the map).
-        _, removed = eliminate_variables(
+        _, removed, _ = eliminate_variables(
             data_with_noise,
             signs=["A", "B", "C", "D", "N"],
             min_correlation=0.95,

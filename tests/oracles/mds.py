@@ -1,4 +1,5 @@
-"""Scalar SMACOF and PAVA, the oracles of :mod:`repro.coplot.mds`.
+"""Scalar SMACOF and PAVA, and the first lockstep loop: the oracles of
+:mod:`repro.coplot.mds`.
 
 :func:`smacof_reference` draws the same starts as
 :func:`~repro.coplot.mds.smacof.smacof` (the given *init*, or classical
@@ -6,6 +7,13 @@ scaling plus ``n_init - 1`` normals from ``as_generator(seed)``), runs
 each restart alone through :func:`_run_single`, and keeps the best by the
 same rule.  :func:`isotonic_regression_reference` is the stack-based PAVA
 loop the block-merge kernels replaced.
+
+:func:`run_batch_reference` is the lockstep ``_run_batch`` that the
+pair-triangle loop in :mod:`repro.coplot.mds.smacof` replaced: every
+iteration re-gathers the active rows, builds (k, n, n) distance, ratio
+and B matrices, and scatters disparities with ``put_along_axis``.  It
+shares the helpers the new loop kept (disparities, stress, orders and
+row sums), and the new loop must reproduce its every output bit.
 """
 
 from __future__ import annotations
@@ -24,11 +32,18 @@ from repro.coplot.mds.base import (
 )
 from repro.coplot.mds.classical import classical_mds
 from repro.coplot.mds.monotone import _check_weights, rank_image
-from repro.coplot.mds.smacof import _triu
+from repro.coplot.mds.smacof import (
+    _batched_disparities,
+    _batched_orders,
+    _batched_stress,
+    _OrderKeys,
+    _row_sums,
+    _triu,
+)
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_1d
 
-__all__ = ["isotonic_regression_reference", "smacof_reference"]
+__all__ = ["isotonic_regression_reference", "run_batch_reference", "smacof_reference"]
 
 _TRANSFORMS = ("metric", "isotonic", "rank-image")
 
@@ -193,3 +208,126 @@ def smacof_reference(
             )
     assert best is not None, "no restart produced a finite selection key"
     return best
+
+
+# -- the lockstep loop ----------------------------------------------------------
+
+
+def _batched_pairwise(coords: np.ndarray) -> np.ndarray:
+    """(k, n, dim) configurations -> (k, n, n) Euclidean distances.
+
+    Accumulates squared differences one coordinate axis at a time: the
+    same left-to-right summation a reduction over a short last axis
+    performs, without materializing the (k, n, n, dim) temporary.
+    """
+    sq = None
+    for a in range(coords.shape[2]):
+        diff = coords[:, :, None, a] - coords[:, None, :, a]
+        diff *= diff
+        if sq is None:
+            sq = diff
+        else:
+            sq += diff
+    return np.sqrt(sq)
+
+
+def _to_matrix_batch(flat: np.ndarray, n: int) -> np.ndarray:
+    """(k, m) disparity vectors -> (k, n, n) symmetric matrices."""
+    iu = _triu(n)
+    mat = np.zeros((flat.shape[0], n, n))
+    mat[:, iu[0], iu[1]] = flat
+    mat[:, iu[1], iu[0]] = flat
+    return mat
+
+
+def _batched_guttman(
+    coords: np.ndarray, dhat_mat: np.ndarray, d: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Guttman transform for a (k, n, dim) batch with unit weights.
+
+    *d* lets the caller pass the distances it already computed for these
+    configurations this iteration instead of recomputing them.
+    """
+    n = coords.shape[1]
+    if d is None:
+        d = _batched_pairwise(coords)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(d > 0, dhat_mat / np.where(d > 0, d, 1.0), 0.0)
+    b = -ratio
+    ar = np.arange(n)
+    b[:, ar, ar] = 0.0
+    b[:, ar, ar] = -b.sum(axis=2)
+    return (b @ coords) / n
+
+
+def _run_batch(
+    sv: np.ndarray,
+    n: int,
+    starts: np.ndarray,
+    transform: str,
+    max_iter: int,
+    tol: float,
+) -> tuple:
+    """Every row in lockstep; returns per-row (coords, stress, n_iter,
+    converged) arrays, each row what its start gives when run alone.
+
+    *sv* is (k, m): row j embeds ``sv[j]`` from ``starts[j]``.  The
+    restarts of one problem repeat its vector; rows of different problems
+    carry their own, which is how :func:`_solve_many` batches problems.
+    """
+    k, m = sv.shape
+    coords = starts.copy()
+    stress_prev = np.full(k, math.inf)
+    n_iter = np.zeros(k, dtype=np.int64)
+    converged = np.zeros(k, dtype=bool)
+    active = np.ones(k, dtype=bool)
+    iu = _triu(n)
+    keys = _OrderKeys(m)
+    # Per-row tie rule: a row without tied dissimilarities keeps one sort
+    # order for the whole run (the distance key of the lexsort only breaks
+    # sv ties), so it is sorted once; only tied rows are lexsorted again
+    # every iteration.
+    static_orders = np.argsort(sv, axis=1, kind="stable")
+    sv_sorted = np.take_along_axis(sv, static_orders, axis=1)
+    tied = (sv_sorted[:, 1:] == sv_sorted[:, :-1]).any(axis=1)
+    for it in range(1, max_iter + 1):
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        d = _batched_pairwise(coords[idx])
+        dv = d[:, iu[0], iu[1]]
+        sv_rows = sv[idx]
+        orders = None
+        if transform != "metric":
+            orders = static_orders[idx]
+            redo = tied[idx]
+            if redo.any():
+                orders[redo] = _batched_orders(sv_rows[redo], dv[redo], keys)
+        dhat = _batched_disparities(sv_rows, dv, transform, orders)
+        norm = _row_sums(dhat * dhat)
+        n_iter[idx] = it
+        # Rows whose disparities collapsed stop with their stress
+        # untouched and not converged.
+        live = norm > 0
+        if live.any():
+            li = np.flatnonzero(live)
+            dhat_l = dhat[li] * np.sqrt(m / norm[li])[:, None]
+            stress = _batched_stress(dhat_l, dv[li])
+            with np.errstate(invalid="ignore"):
+                newly_conv = np.abs(stress_prev[idx[li]] - stress) < tol
+            converged[idx[li[newly_conv]]] = True
+            stress_prev[idx[li]] = stress
+            go = li[~newly_conv]
+            if go.size:
+                gi = idx[go]
+                coords[gi] = _batched_guttman(
+                    coords[gi], _to_matrix_batch(dhat_l[~newly_conv], n), d=d[go]
+                )
+            active[idx[li[newly_conv]]] = False
+        active[idx[~live]] = False
+    coords = coords - coords.mean(axis=1, keepdims=True)
+    return coords, stress_prev, n_iter, converged
+
+
+#: The public name of the oracle; the body above keeps its original name.
+run_batch_reference = _run_batch

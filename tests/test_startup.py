@@ -3,9 +3,10 @@
 Compute paths need :mod:`scipy.special` alone; ``scipy.stats`` and
 ``scipy.optimize`` take ~1 s to import and are test oracles only
 (``tests/stats/test_scipy_ports.py``).  The linter, trace and cache tools
-load no scipy at all, because ``import repro`` loads its subpackages
-lazily.  Each check runs in a fresh interpreter, since this test process
-has imported scipy already.
+load neither scipy nor numpy, because ``import repro`` loads its
+subpackages lazily and ``repro.util`` imports none of its modules.  Each
+check runs in a fresh interpreter, since this test process has imported
+both already.
 """
 
 import json
@@ -21,12 +22,14 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ORACLE_ONLY = {"scipy.stats", "scipy.optimize"}
 
 
-def _scipy_loaded(statement: str, cwd: str = REPO_ROOT) -> set:
-    """The scipy modules a fresh interpreter has loaded after *statement*."""
+def _loaded(statement: str, cwd: str = REPO_ROOT) -> set:
+    """The scipy and numpy modules a fresh interpreter has loaded after
+    *statement*."""
     code = (
         f"{statement}\n"
         "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] in ('scipy', 'numpy'))))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     proc = subprocess.run(
@@ -43,12 +46,12 @@ def _scipy_loaded(statement: str, cwd: str = REPO_ROOT) -> set:
 
 @pytest.mark.parametrize("module", ["repro.lint.cli", "repro.obs.cli", "repro.runtime.cache"])
 def test_tools_load_no_scipy(module):
-    assert _scipy_loaded(f"import {module}") == set()
+    assert _loaded(f"import {module}") == set()
 
 
 @pytest.mark.parametrize("module", ["repro.experiments.runner", "repro.service.cli"])
 def test_compute_entry_points_load_only_scipy_special(module):
-    loaded = _scipy_loaded(f"import {module}")
+    loaded = _loaded(f"import {module}")
     assert "scipy.special" in loaded
     assert not loaded & ORACLE_ONLY
 
@@ -59,4 +62,4 @@ def test_quick_suite_computes_without_stats_or_optimize(tmp_path):
         f"rc = main(['--quick', '--jobs', '1', '--cache-dir', {str(tmp_path / 'cache')!r}])\n"
         "assert rc == 0, rc"
     )
-    assert not _scipy_loaded(run, cwd=str(tmp_path)) & ORACLE_ONLY
+    assert not _loaded(run, cwd=str(tmp_path)) & ORACLE_ONLY
