@@ -114,35 +114,6 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return np.cumsum(x, axis=1)[:, -1]
 
 
-def _batched_disparities(
-    sv_rows: np.ndarray,
-    dv: np.ndarray,
-    transform: str,
-    orders: Optional[np.ndarray],
-) -> np.ndarray:
-    """Disparities for a (k, m) batch of distance vectors.
-
-    Row j's dissimilarities are ``sv_rows[j]`` and its dissimilarity
-    order is ``orders[j]`` (the metric transform needs no order).
-    :func:`_run_batch` calls this for the metric transform only; it writes
-    the nonmetric ones through a flat index, to the same values.
-    """
-    if transform == "metric":
-        denom = _row_sums(sv_rows * sv_rows)
-        safe = np.where(denom > 0, denom, 1.0)
-        scale = np.where(denom > 0, _row_sums(sv_rows * dv) / safe, 1.0)
-        return sv_rows * scale[:, None]
-    out = np.empty_like(dv)
-    if transform == "isotonic":
-        fits = _pava_rows(np.take_along_axis(dv, orders, axis=1))
-        np.put_along_axis(out, orders, fits, axis=1)
-    else:
-        # Rank-image: positions listed in dissimilarity order receive the
-        # sorted distances, batched over restarts.
-        np.put_along_axis(out, orders, np.sort(dv, axis=1), axis=1)
-    return out
-
-
 def _batched_stress(dhat: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """Row-wise Kruskal stress-1 for (k, m) disparity/distance batches."""
     denom = _row_sums(dv * dv)
@@ -196,21 +167,22 @@ def _run_batch(
     n_iter = np.zeros(k, dtype=np.int64)
     converged = np.zeros(k, dtype=bool)
     ends, cells = _pair_maps(n)
-    keys = _OrderKeys(m)
-    # Per-row tie rule: a row without tied dissimilarities keeps one sort
-    # order for the whole run (the distance key of the lexsort only breaks
-    # sv ties), so it is sorted once; only tied rows are lexsorted again
-    # every iteration.
-    orders = np.argsort(sv, axis=1, kind="stable")
-    sv_sorted = np.take_along_axis(sv, orders, axis=1)
-    tie = (sv_sorted[:, 1:] == sv_sorted[:, :-1]).any(axis=1)
-    # The working set: the rows still iterating, in batch order, their
-    # orders as flat positions in a C-ordered (rows, m) buffer, and their
+    # The working set: the rows still iterating, in batch order, and their
     # Guttman ratios in the leading rows of a buffer whose column 0 is +0.0.
     rows, x, s, prev = np.arange(k), coords, sv, stress
-    base = np.arange(k)[:, None] * m
-    flat, redo = orders + base, np.flatnonzero(tie)
     ratios = np.zeros((k, 1 + m))
+    if transform != "metric":
+        # Per-row tie rule: a row without tied dissimilarities keeps one
+        # sort order for the whole run (the distance key of the lexsort
+        # only breaks sv ties), so it is sorted once; only tied rows are
+        # lexsorted again every iteration.  The orders are kept as flat
+        # positions in a C-ordered (rows, m) buffer.
+        keys = _OrderKeys(m)
+        orders = np.argsort(sv, axis=1, kind="stable")
+        sv_sorted = np.take_along_axis(sv, orders, axis=1)
+        tie = (sv_sorted[:, 1:] == sv_sorted[:, :-1]).any(axis=1)
+        base = np.arange(k)[:, None] * m
+        flat, redo = orders + base, np.flatnonzero(tie)
     it = 0
     for it in range(1, max_iter + 1):
         # Pair distances in _triu order, each pair's squared differences
@@ -223,7 +195,9 @@ def _run_batch(
             sq = sq + diff[:, :, a]
         dv = np.sqrt(sq)
         if transform == "metric":
-            dhat = _batched_disparities(s, dv, transform, None)
+            ss = _row_sums(s * s)
+            scale = np.where(ss > 0, _row_sums(s * dv) / np.where(ss > 0, ss, 1.0), 1.0)
+            dhat = s * scale[:, None]
         else:
             if redo.size:
                 flat[redo] = _batched_orders(s[redo], dv[redo], keys) + base[redo]
@@ -235,25 +209,17 @@ def _run_batch(
                 # receive the sorted distances.
                 dhat[flat] = np.sort(dv, axis=1)
             dhat = dhat.reshape(dv.shape)
+        # Rows whose disparities collapsed stop with their stress
+        # untouched and not converged (their scaled disparities are not
+        # finite and go unused); the others' stress takes
+        # _batched_stress's zero-distance rule.
         norm = _row_sums(dhat * dhat)
-        denom = _row_sums(dv * dv)
-        if norm.min() > 0 and denom.min() > 0:
+        live = norm > 0
+        with np.errstate(divide="ignore", invalid="ignore"):
             dhat *= np.sqrt(m / norm)[:, None]
-            new = np.sqrt(_row_sums((dhat - dv) ** 2) / denom)
-            stop = done = np.abs(prev - new) < tol
-        else:
-            # Rows whose disparities collapsed stop with their stress
-            # untouched and not converged; the others' stress takes
-            # _batched_stress's zero-distance rule.
-            live = norm > 0
-            li = np.flatnonzero(live)
-            dhat[li] *= np.sqrt(m / norm[li])[:, None]
-            new = prev.copy()
-            new[li] = _batched_stress(dhat[li], dv[li])
-            done = np.zeros(rows.size, dtype=bool)
-            with np.errstate(invalid="ignore"):
-                done[li] = np.abs(prev[li] - new[li]) < tol
-            stop = done | ~live
+            new = np.where(live, _batched_stress(dhat, dv), prev)
+            done = live & (np.abs(prev - new) < tol)
+        stop = done | ~live
         prev = new
         if stop.any():
             # Stopped rows take no step: a converged row leaves with its
@@ -264,21 +230,18 @@ def _run_batch(
             n_iter[out] = it
             converged[out] = done[stop]
             go = ~stop
-            rows, x, s, orders, tie, prev, dv, dhat = (
-                a[go] for a in (rows, x, s, orders, tie, prev, dv, dhat)
-            )
+            rows, x, s, prev, dv, dhat = (a[go] for a in (rows, x, s, prev, dv, dhat))
             if not rows.size:
                 break
-            flat, redo = orders + base[: rows.size], np.flatnonzero(tie)
+            if transform != "metric":
+                orders, tie = orders[go], tie[go]
+                flat, redo = orders + base[: rows.size], np.flatnonzero(tie)
         # Guttman transform: B holds -dhat/d off the diagonal (0 where d
         # is 0), gathered from the pairs and column 0's +0.0, and minus
         # its row sums on the diagonal.
         r = ratios[: rows.size, 1:]
-        if dv.min() > 0:
-            np.divide(dhat, dv, out=r)
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r[...] = np.where(dv > 0, dhat / np.where(dv > 0, dv, 1.0), 0.0)
+        r[...] = 0.0
+        np.divide(dhat, dv, out=r, where=dv > 0)
         np.negative(r, out=r)
         b = ratios[: rows.size].take(cells, axis=1)
         b3 = b.reshape(rows.size, n, n)

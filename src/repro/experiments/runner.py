@@ -132,6 +132,8 @@ def _valid_envelope(value: Any) -> bool:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the experiments CLI on *argv* (default ``sys.argv[1:]``); returns
+    ``EXIT_OK``, ``EXIT_TASK_FAILURE`` or ``EXIT_CLAIM_MISS``."""
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Reproduce the tables and figures of Talby, Feitelson & Raveh (1999).",

@@ -149,6 +149,8 @@ def _print_integrity(workload) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run the workload-analysis CLI on *argv* (default ``sys.argv[1:]``)
+    and print its report; returns 0."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.workload",
         description="Analyze an SWF trace (or a synthesized archive workload).",

@@ -122,9 +122,13 @@ class TestSmacofEngineEquivalence:
 def _lockstep_batch(seed, k, dim, start):
     """A (k, m) batch and its starts.  Rows alternate between tie-free
     Euclidean dissimilarities and tied integer city-block ones with a
-    duplicated observation.  A ``coincident`` start puts two points of
-    row 0 on each other (a zero distance); an ``all-equal`` start puts
-    every point of the last row on one spot (disparities that collapse).
+    duplicated observation.  A ``coincident`` start puts points 0 and 1
+    of the first and the last row on each other (a zero distance, which
+    the last row carries to the slots of rows that stop before it); an
+    ``all-equal`` start puts every point of the last row on one spot
+    (disparities that collapse).  A ``one-pair`` start is ``coincident``
+    with row 0 left one dissimilar pair, (0, 1), the pair that starts at
+    distance 0: its metric disparities collapse at positive distances.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(4, 10))
@@ -140,8 +144,11 @@ def _lockstep_batch(seed, k, dim, start):
             d = np.abs(x[:, None] - x[None]).sum(axis=2)
         rows.append(d[iu])
     starts = rng.normal(size=(k, n, dim))
-    if start == "coincident":
-        starts[0, 1] = starts[0, 0]
+    if start in ("coincident", "one-pair"):
+        starts[[0, -1], 1] = starts[[0, -1], 0]
+    if start == "one-pair":
+        rows[0][:] = 0.0
+        rows[0][0] = 1.0
     elif start == "all-equal":
         starts[-1] = 0.5
     return np.stack(rows), n, starts
@@ -158,11 +165,17 @@ class TestLockstepLoopEquivalence:
         k=st.sampled_from([1, 3, 8]),
         max_iter=st.sampled_from([1, 2, 7, 500]),
         tol=st.sampled_from([1e-10, 1e-3]),
-        start=st.sampled_from(["random", "coincident", "all-equal"]),
+        start=st.sampled_from(["random", "coincident", "all-equal", "one-pair"]),
     )
     @example(seed=1, transform="rank-image", dim=3, k=8, max_iter=500, tol=1e-3, start="coincident")
     @example(seed=2, transform="isotonic", dim=3, k=8, max_iter=500, tol=1e-3, start="all-equal")
     @example(seed=3, transform="metric", dim=3, k=3, max_iter=7, tol=1e-10, start="coincident")
+    # Row 0 collapses while its distance sum is positive.
+    @example(seed=4, transform="metric", dim=2, k=3, max_iter=500, tol=1e-10, start="one-pair")
+    # The last row's zero distance lands in ratio slots other rows used.
+    @example(
+        seed=1, transform="rank-image", dim=1, k=8, max_iter=500, tol=1e-10, start="coincident"
+    )
     @settings(max_examples=100, deadline=None)
     def test_same_bits(self, seed, transform, dim, k, max_iter, tol, start):
         sv, n, starts = _lockstep_batch(seed, k, dim, start)

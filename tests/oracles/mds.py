@@ -12,8 +12,8 @@ loop the block-merge kernels replaced.
 pair-triangle loop in :mod:`repro.coplot.mds.smacof` replaced: every
 iteration re-gathers the active rows, builds (k, n, n) distance, ratio
 and B matrices, and scatters disparities with ``put_along_axis``.  It
-shares the helpers the new loop kept (disparities, stress, orders and
-row sums), and the new loop must reproduce its every output bit.
+shares the helpers the new loop kept (stress, orders and row sums), and
+the new loop must reproduce its every output bit.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from repro.coplot.mds.base import (
     upper_triangle,
 )
 from repro.coplot.mds.classical import classical_mds
-from repro.coplot.mds.monotone import _check_weights, rank_image
+from repro.coplot.mds.monotone import _check_weights, _pava_rows, rank_image
 from repro.coplot.mds.smacof import (
-    _batched_disparities,
     _batched_orders,
     _batched_stress,
     _OrderKeys,
@@ -238,6 +237,33 @@ def _to_matrix_batch(flat: np.ndarray, n: int) -> np.ndarray:
     mat[:, iu[0], iu[1]] = flat
     mat[:, iu[1], iu[0]] = flat
     return mat
+
+
+def _batched_disparities(
+    sv_rows: np.ndarray,
+    dv: np.ndarray,
+    transform: str,
+    orders: Optional[np.ndarray],
+) -> np.ndarray:
+    """Disparities for a (k, m) batch of distance vectors.
+
+    Row j's dissimilarities are ``sv_rows[j]`` and its dissimilarity
+    order is ``orders[j]`` (the metric transform needs no order).
+    """
+    if transform == "metric":
+        denom = _row_sums(sv_rows * sv_rows)
+        safe = np.where(denom > 0, denom, 1.0)
+        scale = np.where(denom > 0, _row_sums(sv_rows * dv) / safe, 1.0)
+        return sv_rows * scale[:, None]
+    out = np.empty_like(dv)
+    if transform == "isotonic":
+        fits = _pava_rows(np.take_along_axis(dv, orders, axis=1))
+        np.put_along_axis(out, orders, fits, axis=1)
+    else:
+        # Rank-image: positions listed in dissimilarity order receive the
+        # sorted distances, batched over restarts.
+        np.put_along_axis(out, orders, np.sort(dv, axis=1), axis=1)
+    return out
 
 
 def _batched_guttman(

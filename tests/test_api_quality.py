@@ -25,6 +25,14 @@ PACKAGES = [
 ]
 
 
+def _package_modules(pkg_name):
+    """A package and its direct submodules."""
+    pkg = importlib.import_module(pkg_name)
+    yield pkg
+    for info in pkgutil.iter_modules(getattr(pkg, "__path__", [])):
+        yield importlib.import_module(f"{pkg_name}.{info.name}")
+
+
 def _public_objects(module):
     names = getattr(module, "__all__", None)
     if names is None:
@@ -35,9 +43,13 @@ def _public_objects(module):
 class TestExports:
     @pytest.mark.parametrize("pkg", PACKAGES)
     def test_all_exports_resolve(self, pkg):
-        module = importlib.import_module(pkg)
-        for name in getattr(module, "__all__", []):
-            assert hasattr(module, name), f"{pkg}.__all__ lists missing {name}"
+        missing = [
+            f"{module.__name__}.{name}"
+            for module in _package_modules(pkg)
+            for name in getattr(module, "__all__", [])
+            if not hasattr(module, name)
+        ]
+        assert not missing, f"__all__ lists missing names: {missing}"
 
     @pytest.mark.parametrize("pkg", PACKAGES)
     def test_package_has_docstring(self, pkg):
@@ -48,12 +60,13 @@ class TestExports:
 class TestDocstrings:
     @pytest.mark.parametrize("pkg", PACKAGES)
     def test_public_callables_documented(self, pkg):
-        module = importlib.import_module(pkg)
-        undocumented = []
-        for name, obj in _public_objects(module):
-            if inspect.isfunction(obj) or inspect.isclass(obj):
-                if not (obj.__doc__ and obj.__doc__.strip()):
-                    undocumented.append(f"{pkg}.{name}")
+        undocumented = [
+            f"{module.__name__}.{name}"
+            for module in _package_modules(pkg)
+            for name, obj in _public_objects(module)
+            if (inspect.isfunction(obj) or inspect.isclass(obj))
+            and not (obj.__doc__ and obj.__doc__.strip())
+        ]
         assert not undocumented, f"undocumented public API: {undocumented}"
 
     def test_all_submodules_have_docstrings(self):
@@ -67,14 +80,6 @@ class TestDocstrings:
                 if not (mod.__doc__ and mod.__doc__.strip()):
                     missing.append(mod.__name__)
         assert not missing, f"modules without docstrings: {missing}"
-
-
-def _package_modules(pkg_name):
-    """A package and its direct submodules."""
-    pkg = importlib.import_module(pkg_name)
-    yield pkg
-    for info in pkgutil.iter_modules(getattr(pkg, "__path__", [])):
-        yield importlib.import_module(f"{pkg_name}.{info.name}")
 
 
 def _public_callables(module):
