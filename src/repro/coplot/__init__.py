@@ -33,8 +33,6 @@ from repro.coplot.mds import (
     coefficient_of_alienation,
     monotonicity_coefficient,
     kruskal_stress,
-    isotonic_regression,
-    rank_image,
 )
 from repro.coplot.arrows import Arrow, fit_arrows, fit_arrow, angle_between, arrow_correlation_matrix
 from repro.coplot.model import Coplot, CoplotResult
@@ -45,7 +43,7 @@ from repro.coplot.procrustes import (
     procrustes_align_batch,
     procrustes_disparity,
 )
-from repro.coplot.extend import project_observation, bootstrap_stability, StabilityReport
+from repro.coplot.extend import bootstrap_stability, StabilityReport
 
 __all__ = [
     "zscore",
@@ -61,8 +59,6 @@ __all__ = [
     "coefficient_of_alienation",
     "monotonicity_coefficient",
     "kruskal_stress",
-    "isotonic_regression",
-    "rank_image",
     "Arrow",
     "fit_arrows",
     "fit_arrow",
@@ -80,7 +76,6 @@ __all__ = [
     "procrustes_align",
     "procrustes_align_batch",
     "procrustes_disparity",
-    "project_observation",
     "bootstrap_stability",
     "StabilityReport",
 ]

@@ -1,125 +1,27 @@
-"""Extensions on top of a fitted Co-plot: projection and stability.
+"""An extension on top of a fitted Co-plot: map stability.
 
-* :func:`project_observation` places a *new* observation into an existing
-  map without refitting — the Section 6 use case of checking a new log
-  against the established reference map, without perturbing it.
-* :func:`bootstrap_stability` quantifies how stable a map is under
-  resampling of the *variables* (Co-plot's sampling unit: few
-  observations, many variables), reporting per-observation positional
-  spread after Procrustes alignment.  The paper reports cluster stability
-  qualitatively ("in some of the other runs the third cluster
-  disappears"); this makes it a number.
+:func:`bootstrap_stability` quantifies how stable a map is under
+resampling of the *variables* (Co-plot's sampling unit: few observations,
+many variables), reporting per-observation positional spread after
+Procrustes alignment.  The paper reports cluster stability qualitatively
+("in some of the other runs the third cluster disappears"); this makes it
+a number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.coplot.model import Coplot, CoplotResult
+from repro.coplot.model import Coplot
 from repro.coplot.procrustes import procrustes_align_batch
 from repro.obs.spans import span as obs_span
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_2d
 
-__all__ = ["project_observation", "bootstrap_stability", "StabilityReport"]
-
-
-def _column_norms(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """NaN-aware per-column mean and std of the original matrix."""
-    means = np.nanmean(y, axis=0)
-    stds = np.nanstd(y, axis=0)
-    stds = np.where(stds == 0, 1.0, stds)
-    return means, stds
-
-
-def _dissim_to_rows(z_new: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """NaN-aware city-block distances from one vector to every row of *z*.
-
-    One broadcast evaluation of
-    :func:`~repro.coplot.dissimilarity.city_block` against each existing
-    observation: masked cells contribute nothing and each row's sum is
-    rescaled by ``p / p_present`` exactly as the scalar metric does.
-    """
-    present = ~(np.isnan(z_new)[None, :] | np.isnan(z))
-    counts = present.sum(axis=1)
-    if np.any(counts == 0):
-        raise ValueError("observations share no present variables")
-    diffs = np.where(present, np.abs(z - z_new[None, :]), 0.0)
-    return diffs.sum(axis=1) * (z.shape[1] / counts)
-
-
-def project_observation(
-    result: CoplotResult,
-    values,
-    *,
-    n_starts: int = 4,
-    seed: SeedLike = 0,
-) -> Tuple[np.ndarray, float]:
-    """Place a new observation into a fitted map.
-
-    The new row is normalized with the *original* analysis' means and
-    deviations, its city-block dissimilarities to the existing
-    observations are computed, and a position minimizing the (metric)
-    stress against the existing points is found by local optimization from
-    several starts (nearest-neighbour anchored plus random).
-
-    Parameters
-    ----------
-    result:
-        A fitted :class:`~repro.coplot.model.CoplotResult`.
-    values:
-        The new observation's raw values, in ``result.signs`` order
-        (NaN for unknown).
-
-    Returns
-    -------
-    (position, stress):
-        The 2-D coordinates and the residual stress-1 of the placement
-        (0 = the new dissimilarities embed perfectly).
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(result.signs),):
-        raise ValueError(
-            f"expected {len(result.signs)} values (order: {result.signs}), "
-            f"got shape {values.shape}"
-        )
-    means, stds = _column_norms(result.y)
-    z_new = (values - means) / stds
-    dissim = _dissim_to_rows(z_new, result.z)
-
-    coords = result.coords
-
-    def stress(p: np.ndarray) -> float:
-        d = np.linalg.norm(coords - p[None, :], axis=1)
-        denom = float(np.sum(d**2))
-        if denom == 0:
-            return float(np.sum(dissim**2))
-        # Allow an optimal uniform scale between dissimilarities and map
-        # distances (the map's scale is arbitrary).
-        alpha = float(d @ dissim) / denom
-        return float(np.sum((dissim - alpha * d) ** 2) / np.sum(dissim**2))
-
-    rng = as_generator(seed)
-    starts: List[np.ndarray] = [coords[int(np.argmin(dissim))]]
-    span = coords.max(axis=0) - coords.min(axis=0)
-    for _ in range(max(n_starts - 1, 0)):
-        starts.append(
-            coords.mean(axis=0) + rng.normal(scale=0.5, size=2) * np.maximum(span, 1e-9)
-        )
-    from scipy import optimize  # deferred: ~0.25 s, and no experiment or analysis projects
-
-    best_pos: Optional[np.ndarray] = None
-    best_val = np.inf
-    for start in starts:
-        res = optimize.minimize(stress, start, method="Nelder-Mead")
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_pos = np.asarray(res.x)
-    assert best_pos is not None
-    return best_pos, float(np.sqrt(max(best_val, 0.0)))
+__all__ = ["bootstrap_stability", "StabilityReport"]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ from repro.coplot.mds.alienation import (
     coefficient_of_alienation,
     kruskal_stress,
 )
-from repro.coplot.mds.monotone import isotonic_regression, rank_image
 from repro.coplot.mds.classical import classical_mds
 from repro.coplot.mds.smacof import smacof
 from repro.coplot.mds.ssa import smallest_space_analysis
@@ -28,8 +27,6 @@ __all__ = [
     "monotonicity_coefficient",
     "coefficient_of_alienation",
     "kruskal_stress",
-    "isotonic_regression",
-    "rank_image",
     "classical_mds",
     "smacof",
     "smallest_space_analysis",

@@ -64,7 +64,7 @@ from repro.runtime import (
     longest_first,
     parse_chaos_spec,
 )
-from repro.util.atomicio import atomic_symlink, atomic_write_text
+from repro.util.atomicio import atomic_write_text, create_run_dir, point_latest
 
 __all__ = ["main"]
 
@@ -92,21 +92,8 @@ def _run_dir_name(*, seed: int, quick: bool) -> str:
 def _prepare_run_dir(out_dir: str, *, seed: int, quick: bool) -> str:
     """Create a fresh per-run subdirectory and point ``latest`` at it."""
     os.makedirs(out_dir, exist_ok=True)
-    name = _run_dir_name(seed=seed, quick=quick)
-    run_dir = os.path.join(out_dir, name)
-    suffix = 1
-    while os.path.exists(run_dir):  # same-second rerun: never clobber
-        suffix += 1
-        run_dir = os.path.join(out_dir, f"{name}.{suffix}")
-    os.makedirs(run_dir)
-    link = os.path.join(out_dir, "latest")
-    try:
-        # Atomic replace: concurrent runs (e.g. service requests sharing
-        # an --out root) each land a complete link instead of racing on
-        # unlink+symlink and crashing on FileExistsError.
-        atomic_symlink(os.path.basename(run_dir), link, target_is_directory=True)
-    except OSError:  # filesystems without symlink support
-        atomic_write_text(os.path.join(out_dir, "LATEST"), os.path.basename(run_dir) + "\n")
+    run_dir = create_run_dir(out_dir, _run_dir_name(seed=seed, quick=quick))
+    point_latest(run_dir)
     return run_dir
 
 

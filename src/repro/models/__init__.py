@@ -29,7 +29,7 @@ from repro.models.jann import JannModel, JannRangeParameters
 from repro.models.lublin import LublinModel
 from repro.models.parametric import ParametricWorkloadModel
 from repro.models.usersession import UserSessionModel, UserProfile
-from repro.models.registry import MODEL_NAMES, create_model, all_models
+from repro.models.registry import MODEL_NAMES, create_model
 from repro.models.validation import (
     ModelFitReport,
     VariableFit,
@@ -51,7 +51,6 @@ __all__ = [
     "UserProfile",
     "MODEL_NAMES",
     "create_model",
-    "all_models",
     "ModelFitReport",
     "VariableFit",
     "MarginalFit",

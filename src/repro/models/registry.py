@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.models.base import WorkloadModel
 from repro.models.downey import DowneyModel
@@ -11,7 +11,7 @@ from repro.models.feitelson97 import Feitelson97Model
 from repro.models.jann import JannModel
 from repro.models.lublin import LublinModel
 
-__all__ = ["MODEL_NAMES", "create_model", "all_models"]
+__all__ = ["MODEL_NAMES", "create_model"]
 
 _FACTORIES: Dict[str, Callable[[], WorkloadModel]] = {
     "Feitelson96": Feitelson96Model,
@@ -32,8 +32,3 @@ def create_model(name: str) -> WorkloadModel:
     except KeyError:
         raise KeyError(f"unknown model {name!r}; known: {', '.join(MODEL_NAMES)}") from None
     return factory()
-
-
-def all_models() -> List[WorkloadModel]:
-    """All five models with default parameters, in presentation order."""
-    return [create_model(name) for name in MODEL_NAMES]

@@ -31,7 +31,6 @@ from repro.selfsim.hurst import hurst_summary
 from repro.selfsim.series import SERIES_ATTRIBUTES, workload_series
 from repro.stats.gof import ks_statistic, qq_log_distance
 from repro.util.rng import SeedLike, spawn_children
-from repro.util.tables import format_table
 from repro.workload.statistics import compute_statistics
 from repro.workload.variables import MODEL_COMPARABLE_SIGNS
 from repro.workload.workload import Workload
@@ -101,37 +100,6 @@ class ModelFitReport:
         parts = [self.variable_score(), self.marginal_score(), 2.0 * self.hurst_score()]
         parts = [p for p in parts if not math.isnan(p)]
         return float(np.mean(parts)) if parts else math.nan
-
-    def render(self) -> str:
-        var_rows = [
-            [v.sign, v.model_value, v.reference_value, v.log_ratio]
-            for v in self.variables
-        ]
-        var_table = format_table(
-            ["variable", "model", "reference", "log10 ratio"],
-            var_rows,
-            float_fmt="{:.3g}",
-            title=f"{self.model_name} vs {self.reference_name}: order statistics",
-        )
-        marg_rows = [[m.attribute, m.ks, m.qq_log] for m in self.marginals]
-        marg_table = format_table(
-            ["marginal", "KS", "QQ log10 distance"],
-            marg_rows,
-            float_fmt="{:.3f}",
-            title="Full-marginal distances",
-        )
-        hurst_line = "Hurst deltas (model - reference): " + ", ".join(
-            f"{k}={v:+.2f}" for k, v in self.hurst_delta.items()
-        )
-        return "\n".join(
-            [
-                var_table,
-                marg_table,
-                hurst_line,
-                f"Aggregate score: {self.score():.3f} "
-                "(0 = indistinguishable; lower is better)",
-            ]
-        )
 
 
 def validate_model(

@@ -9,8 +9,9 @@ scheduler substrate.  This package provides one, from scratch:
 
 * an event-driven simulator (:mod:`repro.scheduler.simulator`);
 * scheduling policies matching the paper's scheduler-flexibility ranks:
-  FCFS (NQS-style queueing), EASY aggressive backfilling, and conservative
-  backfilling (:mod:`repro.scheduler.policies`);
+  FCFS (NQS-style queueing) and EASY aggressive backfilling
+  (:mod:`repro.scheduler.policies`), and gang scheduling
+  (:mod:`repro.scheduler.gang`);
 * processor allocators matching the allocation-flexibility ranks:
   power-of-two partitions, limited (block) allocation, and unlimited
   allocation (:mod:`repro.scheduler.allocator`);
@@ -30,8 +31,6 @@ from repro.scheduler.policies import (
     Scheduler,
     FcfsScheduler,
     EasyBackfillScheduler,
-    ConservativeBackfillScheduler,
-    scheduler_for_flexibility,
 )
 from repro.scheduler.simulator import ScheduleResult, simulate
 from repro.scheduler.gang import GangScheduleResult, simulate_gang
@@ -47,8 +46,6 @@ __all__ = [
     "Scheduler",
     "FcfsScheduler",
     "EasyBackfillScheduler",
-    "ConservativeBackfillScheduler",
-    "scheduler_for_flexibility",
     "ScheduleResult",
     "simulate",
     "GangScheduleResult",

@@ -2,10 +2,9 @@
 
 Section 3 ranks schedulers by increasing flexibility: the NQS batch
 queuing system (plain FCFS queueing), the EASY scheduler "which uses
-backfilling", and gang schedulers.  We implement FCFS and both classic
-backfilling variants (EASY/aggressive and conservative); time-slicing
-gang scheduling is out of scope for a space-shared simulator, and EASY
-marks the flexibility rank the paper's analysis actually exercises.
+backfilling", and gang schedulers.  This module implements the two
+space-shared ranks, FCFS and EASY backfilling; time-slicing gang
+scheduling has its own simulator (:mod:`repro.scheduler.gang`).
 
 All policies receive perfect runtime estimates (the "pure model" stance
 the paper takes for the generators); the simulator's estimate handling is
@@ -15,7 +14,6 @@ factored so inaccurate estimates can be injected for sensitivity studies.
 from __future__ import annotations
 
 import abc
-import bisect
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -24,8 +22,6 @@ __all__ = [
     "Scheduler",
     "FcfsScheduler",
     "EasyBackfillScheduler",
-    "ConservativeBackfillScheduler",
-    "scheduler_for_flexibility",
 ]
 
 
@@ -149,89 +145,3 @@ class EasyBackfillScheduler(Scheduler):
                 if free <= 0:
                     break
         return started
-
-
-class ConservativeBackfillScheduler(Scheduler):
-    """Conservative backfilling, flexibility rank 3.
-
-    Every queued job holds a reservation; a job may start early only if it
-    delays no reservation of a job ahead of it.  Implemented by rebuilding
-    the availability profile each round and assigning each queued job (in
-    FCFS order) its earliest feasible start; jobs whose assigned start is
-    *now* begin immediately.  Rebuilding in queue order guarantees no job
-    is ever pushed behind a later arrival.
-    """
-
-    name = "conservative"
-
-    def __init__(self, horizon: float = float("inf")):
-        self.horizon = horizon
-
-    def select(self, clock, queue, free, running):
-        # Availability profile as breakpoints: times where capacity changes.
-        # profile[t] = processors available from t (until the next key).
-        events = sorted(running)
-        times = [clock] + [end for end, _ in events]
-        avail = [free]
-        for end, size in events:
-            avail.append(avail[-1] + size)
-        # Deduplicate identical breakpoint times.
-        prof_t: List[float] = []
-        prof_a: List[int] = []
-        for t, a in zip(times, avail):
-            if prof_t and t == prof_t[-1]:
-                prof_a[-1] = a
-            else:
-                prof_t.append(t)
-                prof_a.append(a)
-
-        def earliest_start(size: int, duration: float) -> float:
-            for i, t in enumerate(prof_t):
-                if prof_a[i] < size:
-                    continue
-                # Check the capacity holds for the whole duration.
-                end = t + duration
-                feasible = True
-                for j in range(i + 1, len(prof_t)):
-                    if prof_t[j] >= end:
-                        break
-                    if prof_a[j] < size:
-                        feasible = False
-                        break
-                if feasible:
-                    return t
-            return prof_t[-1]  # after everything ends, the machine is free
-
-        def reserve(start: float, size: int, duration: float) -> None:
-            end = start + duration
-            # Insert breakpoints at start and end if absent.
-            for point in (start, end):
-                if point not in prof_t:
-                    pos = bisect.bisect_left(prof_t, point)
-                    base = prof_a[pos - 1] if pos > 0 else prof_a[0]
-                    prof_t.insert(pos, point)
-                    prof_a.insert(pos, base)
-            for i, t in enumerate(prof_t):
-                if start <= t < end:
-                    prof_a[i] -= size
-
-        started = []
-        for job in queue:
-            start = earliest_start(job.size, job.estimate)
-            reserve(start, job.size, job.estimate)
-            if start <= clock:
-                started.append(job)
-        return started
-
-
-def scheduler_for_flexibility(rank: int) -> Scheduler:
-    """Build the policy matching a Table 1 ``SF`` rank (1=FCFS, 2=EASY,
-    3=conservative backfilling as the most flexible space-shared stand-in
-    for gang scheduling)."""
-    if rank == 1:
-        return FcfsScheduler()
-    if rank == 2:
-        return EasyBackfillScheduler()
-    if rank == 3:
-        return ConservativeBackfillScheduler()
-    raise ValueError(f"scheduler flexibility rank must be 1..3, got {rank}")

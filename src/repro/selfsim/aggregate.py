@@ -1,4 +1,4 @@
-"""Series aggregation and autocorrelation.
+"""Series aggregation.
 
 Equation (8) of the paper: the m-aggregated series averages non-overlapping
 blocks of size m.  Self-similar processes keep their correlation structure
@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.util.validation import check_1d
 
-__all__ = ["aggregate_series", "autocorrelation"]
+__all__ = ["aggregate_series"]
 
 
 def _aggregate_unchecked(arr: np.ndarray, m: int) -> np.ndarray:
@@ -33,28 +33,3 @@ def aggregate_series(x, m: int) -> np.ndarray:
     if arr.shape[0] // m == 0:
         raise ValueError(f"series of length {arr.shape[0]} has no complete block of size {m}")
     return _aggregate_unchecked(arr, m)
-
-
-def autocorrelation(x, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation function r(k) for k = 0..max_lag (Eq. 5).
-
-    Uses the biased estimator (normalizing by n), the standard choice that
-    guarantees a positive semidefinite sequence.
-    """
-    arr = check_1d(x, "x", min_len=2)
-    n = arr.shape[0]
-    if max_lag < 0:
-        raise ValueError(f"max_lag must be >= 0, got {max_lag}")
-    if max_lag >= n:
-        raise ValueError(f"max_lag={max_lag} must be below the series length {n}")
-    centred = arr - arr.mean()
-    denom = float(centred @ centred)
-    if denom == 0:
-        out = np.zeros(max_lag + 1)
-        out[0] = 1.0
-        return out
-    # FFT-based autocovariance: O(n log n) instead of O(n * max_lag).
-    size = int(2 ** np.ceil(np.log2(2 * n)))
-    spectrum = np.fft.rfft(centred, size)
-    acov = np.fft.irfft(spectrum * np.conj(spectrum), size)[: max_lag + 1]
-    return acov / denom

@@ -23,7 +23,7 @@ import numpy as np
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_in_range
 
-__all__ = ["fgn_autocovariance", "fgn", "fbm"]
+__all__ = ["fgn_autocovariance", "fgn"]
 
 
 def fgn_autocovariance(h: float, n: int, sigma: float = 1.0) -> np.ndarray:
@@ -93,12 +93,3 @@ def fgn(n: int, h: float, *, sigma: float = 1.0, seed: SeedLike = None) -> np.nd
     # samples; we use the real part.
     sample = np.fft.fft(spectrum)
     return math.sqrt(2.0) * sample.real[:n]
-
-
-def fbm(n: int, h: float, *, sigma: float = 1.0, seed: SeedLike = None) -> np.ndarray:
-    """Fractional Brownian motion: the cumulative sum of fGn, starting at 0."""
-    increments = fgn(n, h, sigma=sigma, seed=seed)
-    out = np.empty(n + 1)
-    out[0] = 0.0
-    np.cumsum(increments, out=out[1:])
-    return out

@@ -6,23 +6,18 @@ of the periodogram on the lowest frequencies has slope 1 − 2H, giving
 H = (1 − slope) / 2.  Following standard practice (and because the law only
 holds near the origin) the fit uses the lowest 10% of frequencies by
 default.
-
-The appendix also introduces the periodogram as "a statistical method to
-discover cycles in time series"; :func:`find_cycles` provides that use —
-e.g. detecting the daily rush-hour cycle of an arrival process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.stats.regression import LinearFit, linear_fit
-from repro.util.validation import check_1d, check_positive, check_probability
+from repro.util.validation import check_1d, check_probability
 
-__all__ = ["periodogram", "hurst_periodogram", "Cycle", "find_cycles"]
+__all__ = ["periodogram", "hurst_periodogram"]
 
 
 def periodogram(x) -> Tuple[np.ndarray, np.ndarray]:
@@ -66,76 +61,3 @@ def hurst_periodogram(
     k = min(k, omega.size)
     fit = linear_fit(np.log(omega[:k]), np.log(per[:k]))
     return float((1.0 - fit.slope) / 2.0), fit
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """One detected periodic component."""
-
-    period: float  #: in samples (multiply by the bin width for seconds)
-    frequency: float  #: angular frequency omega
-    power: float  #: periodogram ordinate
-    prominence: float  #: power relative to the local median level
-
-
-def find_cycles(
-    x,
-    *,
-    top_k: int = 3,
-    min_prominence: float = 30.0,
-    neighbourhood: int = 25,
-) -> List[Cycle]:
-    """Detect dominant cycles in a series via periodogram peaks.
-
-    A frequency is reported when its periodogram ordinate is a local
-    maximum and exceeds *min_prominence* times the median ordinate in its
-    neighbourhood — a scale-free criterion that works on top of the 1/f
-    trend of long-range-dependent data.  The default threshold sits above
-    the ~ln(n)/ln(2) ratio the exponential ordinates of a cycle-free
-    series reach by chance, so white noise yields no detections.
-
-    Parameters
-    ----------
-    x:
-        The series (e.g. arrivals per time bin).
-    top_k:
-        Maximum number of cycles returned, strongest first.
-    min_prominence:
-        Peak-to-local-median power ratio required.
-    neighbourhood:
-        Half-width (in frequency bins) of the local median window.
-
-    Returns
-    -------
-    list[Cycle]
-        Detected cycles, sorted by prominence (strongest first).
-    """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    check_positive(min_prominence, "min_prominence")
-    omega, per = periodogram(x)
-    n = per.size
-    if n < 8:
-        return []
-    cycles: List[Cycle] = []
-    for i in range(1, n - 1):
-        if not (per[i] > per[i - 1] and per[i] >= per[i + 1]):
-            continue
-        lo = max(0, i - neighbourhood)
-        hi = min(n, i + neighbourhood + 1)
-        local = np.delete(per[lo:hi], i - lo)
-        baseline = float(np.median(local))
-        if baseline <= 0:
-            continue
-        prominence = float(per[i]) / baseline
-        if prominence >= min_prominence:
-            cycles.append(
-                Cycle(
-                    period=float(2.0 * np.pi / omega[i]),
-                    frequency=float(omega[i]),
-                    power=float(per[i]),
-                    prominence=prominence,
-                )
-            )
-    cycles.sort(key=lambda c: c.prominence, reverse=True)
-    return cycles[:top_k]

@@ -71,7 +71,7 @@ from repro.service.errors import ServiceError
 from repro.service.store import TERMINAL_STATES, JobStore
 from repro.service.worker import job_worker_main
 from repro.util.appendlog import tear
-from repro.util.atomicio import atomic_symlink, atomic_write_bytes, atomic_write_text
+from repro.util.atomicio import atomic_write_bytes, atomic_write_text, create_run_dir, point_latest
 
 __all__ = ["RUNS_DIR_NAME", "JobRunner"]
 
@@ -585,16 +585,10 @@ class JobRunner:
         """Persist one job's outputs into a fresh stamped run directory.
 
         Mirrors the CLI runner's ``--out`` layout: a wall-clock stamped
-        directory per request plus a ``latest`` symlink — updated with
-        :func:`atomic_symlink`, since concurrent jobs finish concurrently.
+        directory per request plus a ``latest`` link, repointed only once
+        the directory's files are written.
         """
-        name = f"job-{obs_clock.utc_stamp()}-{job_id[:8]}"
-        run_dir = os.path.join(self.runs_dir, name)
-        suffix = 1
-        while os.path.exists(run_dir):  # same-second job: never clobber
-            suffix += 1
-            run_dir = os.path.join(self.runs_dir, f"{name}.{suffix}")
-        os.makedirs(run_dir)
+        run_dir = create_run_dir(self.runs_dir, f"job-{obs_clock.utc_stamp()}-{job_id[:8]}")
         atomic_write_text(
             os.path.join(run_dir, "result.json"),
             json.dumps(payload, sort_keys=True, indent=2) + "\n",
@@ -610,14 +604,5 @@ class JobRunner:
             os.path.join(run_dir, "spec.json"),
             json.dumps(record["spec"], sort_keys=True, indent=2) + "\n",
         )
-        try:
-            atomic_symlink(
-                os.path.basename(run_dir),
-                os.path.join(self.runs_dir, "latest"),
-                target_is_directory=True,
-            )
-        except OSError:  # filesystems without symlink support
-            atomic_write_text(
-                os.path.join(self.runs_dir, "LATEST"), os.path.basename(run_dir) + "\n"
-            )
+        point_latest(run_dir)
         return run_dir

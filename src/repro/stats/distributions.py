@@ -8,7 +8,7 @@ with long-range dependence is pushed through ``ppf(Phi(z))`` to obtain a
 series with the *target marginal* and (approximately) the target Hurst
 parameter.
 
-Mixture distributions (hyper-exponential, hyper-Erlang) invert their CDF
+Mixtures (such as the hyper-Erlang) invert their CDF
 numerically with bracketed Brent root finding; the bracket is grown
 geometrically from the component means so inversion is robust for the heavy
 tails workload modeling requires.
@@ -44,13 +44,11 @@ from repro.util.validation import check_positive, check_probability
 __all__ = [
     "Distribution",
     "Exponential",
-    "Uniform",
     "LogUniform",
     "TwoStageLogUniform",
     "LogNormal",
     "Gamma",
     "Erlang",
-    "HyperExponential",
     "HyperErlang",
     "Mixture",
     "Discrete",
@@ -293,44 +291,6 @@ class Exponential(Distribution):
 
     def __repr__(self) -> str:
         return f"Exponential(rate={self.rate:g})"
-
-
-class Uniform(Distribution):
-    """Continuous uniform on ``[lo, hi]``."""
-
-    def __init__(self, lo: float, hi: float):
-        if not hi > lo:
-            raise ValueError(f"hi must exceed lo, got [{lo}, {hi}]")
-        self.lo = float(lo)
-        self.hi = float(hi)
-
-    def support(self) -> Tuple[float, float]:
-        return (self.lo, self.hi)
-
-    def sample(self, n: int, seed: SeedLike = None) -> np.ndarray:
-        return as_generator(seed).uniform(self.lo, self.hi, size=n)
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        inside = (x >= self.lo) & (x <= self.hi)
-        return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-
-    def ppf(self, q) -> np.ndarray:
-        q = _check_quantiles(q)
-        return self.lo + q * (self.hi - self.lo)
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def var(self) -> float:
-        return (self.hi - self.lo) ** 2 / 12.0
-
-    def __repr__(self) -> str:
-        return f"Uniform({self.lo:g}, {self.hi:g})"
 
 
 class LogUniform(Distribution):
@@ -606,18 +566,6 @@ class Mixture(Distribution):
             f"{p:.3g}*{c!r}" for p, c in zip(self.probs, self.components)
         )
         return f"Mixture({parts})"
-
-
-class HyperExponential(Mixture):
-    """Mixture of exponentials — the paper's Section 8 notes that two- and
-    three-stage hyper-exponentials underlie several published models."""
-
-    def __init__(self, probs: Sequence[float], rates: Sequence[float]):
-        super().__init__(probs, [Exponential(r) for r in rates])
-        self.rates = [float(r) for r in rates]
-
-    def __repr__(self) -> str:
-        return f"HyperExponential(probs={list(self.probs)}, rates={self.rates})"
 
 
 class HyperErlang(Mixture):

@@ -10,8 +10,7 @@ order-statistic based:
   sup-norm between empirical CDFs;
 * :func:`qq_log_distance` — mean absolute log-ratio of matched quantiles,
   i.e. "by what factor do the distributions disagree, on average across
-  their whole range";
-* :func:`empirical_cdf` — the shared primitive.
+  their whole range".
 """
 
 from __future__ import annotations
@@ -20,14 +19,7 @@ import numpy as np
 
 from repro.util.validation import check_1d
 
-__all__ = ["empirical_cdf", "ks_statistic", "qq_log_distance"]
-
-
-def empirical_cdf(sample, x) -> np.ndarray:
-    """Empirical CDF of *sample* evaluated at points *x* (right-continuous)."""
-    arr = np.sort(check_1d(sample, "sample", min_len=1))
-    x = np.asarray(x, dtype=float)
-    return np.searchsorted(arr, x, side="right") / arr.size
+__all__ = ["ks_statistic", "qq_log_distance"]
 
 
 def ks_statistic(a, b) -> float:

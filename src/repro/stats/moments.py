@@ -8,9 +8,6 @@ common order *k* the two-branch mixture has a closed-form three-moment
 solution (it is the classic two-point Stieltjes moment problem on the
 branch means); by default the smallest feasible order is returned, keeping
 the branches as variable as the heavy-tailed data demands.
-
-:func:`fit_two_stage_hyperexp` provides the simpler two-moment fit used by
-the Feitelson models for runtimes.
 """
 
 from __future__ import annotations
@@ -21,15 +18,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.stats.distributions import HyperErlang, HyperExponential
+from repro.stats.distributions import HyperErlang
 from repro.util.validation import check_1d, check_positive
 
 __all__ = [
     "sample_moments",
-    "central_to_raw",
-    "raw_to_central",
     "fit_hyper_erlang",
-    "fit_two_stage_hyperexp",
     "HyperErlangFit",
 ]
 
@@ -40,34 +34,6 @@ def sample_moments(x, k: int = 3) -> np.ndarray:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return np.array([float(np.mean(arr**j)) for j in range(1, k + 1)])
-
-
-def central_to_raw(mean: float, central: Sequence[float]) -> np.ndarray:
-    """Convert central moments ``[mu2, mu3, ...]`` to raw moments
-    ``[m1, m2, m3, ...]`` given the mean."""
-    central = np.asarray(central, dtype=float)
-    m1 = float(mean)
-    out = [m1]
-    if len(central) >= 1:
-        out.append(central[0] + m1**2)
-    if len(central) >= 2:
-        out.append(central[1] + 3 * m1 * central[0] + m1**3)
-    if len(central) > 2:
-        raise NotImplementedError("only up to the 3rd moment is supported")
-    return np.array(out)
-
-
-def raw_to_central(raw: Sequence[float]) -> np.ndarray:
-    """Convert raw moments ``[m1, m2, m3]`` to ``[mean, var, mu3]``."""
-    raw = np.asarray(raw, dtype=float)
-    if len(raw) < 2:
-        raise ValueError("need at least two raw moments")
-    m1, m2 = raw[0], raw[1]
-    out = [m1, m2 - m1**2]
-    if len(raw) >= 3:
-        m3 = raw[2]
-        out.append(m3 - 3 * m1 * m2 + 2 * m1**3)
-    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -189,34 +155,3 @@ def fit_hyper_erlang(
         "no feasible hyper-Erlang order: the moment triple "
         f"({m1:g}, {m2:g}, {m3:g}) admits no two-branch mixture"
     )
-
-
-def fit_two_stage_hyperexp(
-    mean: float, cv: float, *, balance: float = 0.5
-) -> HyperExponential:
-    """Two-stage hyper-exponential matching a mean and coefficient of
-    variation, using the balanced-means heuristic.
-
-    With ``cv >= 1`` the classic construction sets
-
-    .. math:: p = \\tfrac12\\left(1 + \\sqrt{\\frac{cv^2-1}{cv^2+1}}\\right)
-
-    and rates ``2p/mean`` and ``2(1-p)/mean`` (each branch contributes the
-    same expected value — "balanced means").  *balance* skews the branch
-    weights: 0.5 is the standard balanced construction.
-    """
-    check_positive(mean, "mean")
-    check_positive(cv, "cv")
-    if cv < 1.0:
-        raise ValueError(
-            f"a hyper-exponential cannot have cv < 1 (got {cv}); use Erlang instead"
-        )
-    if not 0.0 < balance < 1.0:
-        raise ValueError(f"balance must be in (0, 1), got {balance}")
-    if math.isclose(cv, 1.0):
-        return HyperExponential([1.0 - 1e-9, 1e-9], [1.0 / mean, 1.0 / mean])
-    p = 0.5 * (1.0 + math.sqrt((cv**2 - 1.0) / (cv**2 + 1.0)))
-    # Balanced means: p / r1 == (1 - p) / r2 == mean / 2 (when balance = 0.5).
-    r1 = p / (balance * mean)
-    r2 = (1.0 - p) / ((1.0 - balance) * mean)
-    return HyperExponential([p, 1.0 - p], [r1, r2])

@@ -17,7 +17,13 @@ import os
 import tempfile
 from typing import Union
 
-__all__ = ["atomic_symlink", "atomic_write_bytes", "atomic_write_text"]
+__all__ = [
+    "atomic_symlink",
+    "atomic_write_bytes",
+    "atomic_write_text",
+    "create_run_dir",
+    "point_latest",
+]
 
 
 def atomic_write_text(
@@ -110,3 +116,38 @@ def atomic_symlink(
                 pass
             raise
         return
+
+
+def create_run_dir(root: Union[str, os.PathLike], name: str) -> str:
+    """Create a new directory ``root/name`` and return its path.
+
+    A taken name gets the first free suffix: ``name.2``, ``name.3``, ...
+    The ``mkdir`` itself is the test, so two writers racing for one name
+    in the same second (same-seed runs sharing an ``--out`` root, or two
+    service jobs) each get their own directory instead of one crashing
+    on ``FileExistsError``.
+    """
+    root = os.fspath(root)
+    run_dir = os.path.join(root, name)
+    suffix = 1
+    while True:
+        try:
+            os.mkdir(run_dir)
+            return run_dir
+        except FileExistsError:
+            suffix += 1
+            run_dir = os.path.join(root, f"{name}.{suffix}")
+
+
+def point_latest(run_dir: Union[str, os.PathLike]) -> None:
+    """Point the ``latest`` symlink beside *run_dir* at it.
+
+    The link is swapped with :func:`atomic_symlink`, since concurrent
+    runs finish concurrently.  Where symlinks are unsupported, a
+    ``LATEST`` file names the directory instead.
+    """
+    root, name = os.path.split(os.fspath(run_dir))
+    try:
+        atomic_symlink(name, os.path.join(root, "latest"), target_is_directory=True)
+    except OSError:  # filesystems without symlink support
+        atomic_write_text(os.path.join(root, "LATEST"), name + "\n")

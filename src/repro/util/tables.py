@@ -12,7 +12,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-__all__ = ["format_table", "format_matrix"]
+__all__ = ["format_table"]
 
 Cell = Union[str, float, int, None]
 
@@ -84,25 +84,3 @@ def format_table(
     lines.append("  ".join("-" * w for w in widths))
     lines.extend(fmt_row(row) for row in rendered)
     return "\n".join(lines)
-
-
-def format_matrix(
-    matrix: np.ndarray,
-    row_labels: Sequence[str],
-    col_labels: Sequence[str],
-    *,
-    float_fmt: str = "{:.3f}",
-    title: Optional[str] = None,
-) -> str:
-    """Render a labelled 2-D array (e.g. a correlation matrix) as text."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {matrix.shape}")
-    if matrix.shape != (len(row_labels), len(col_labels)):
-        raise ValueError(
-            f"matrix shape {matrix.shape} does not match "
-            f"{len(row_labels)} row labels x {len(col_labels)} column labels"
-        )
-    headers = [""] + list(col_labels)
-    rows = [[label] + list(matrix[i]) for i, label in enumerate(row_labels)]
-    return format_table(headers, rows, float_fmt=float_fmt, title=title)

@@ -9,15 +9,9 @@ variables in :mod:`repro.workload.statistics`.
 """
 
 from repro.workload.fields import SWF_FIELDS, SwfField, STATUS_COMPLETED, STATUS_FAILED, STATUS_CANCELLED
-from repro.workload.job import Job
 from repro.workload.workload import Workload, MachineInfo
 from repro.workload.swf import SwfParseError, read_swf, write_swf, parse_swf_text, render_swf_text
-from repro.workload.filters import (
-    filter_jobs,
-    split_interactive_batch,
-    split_time_windows,
-    restrict_to_window,
-)
+from repro.workload.filters import split_interactive_batch, split_time_windows
 from repro.workload.statistics import (
     WorkloadStatistics,
     compute_statistics,
@@ -50,7 +44,6 @@ __all__ = [
     "STATUS_COMPLETED",
     "STATUS_FAILED",
     "STATUS_CANCELLED",
-    "Job",
     "Workload",
     "MachineInfo",
     "SwfParseError",
@@ -58,10 +51,8 @@ __all__ = [
     "write_swf",
     "parse_swf_text",
     "render_swf_text",
-    "filter_jobs",
     "split_interactive_batch",
     "split_time_windows",
-    "restrict_to_window",
     "WorkloadStatistics",
     "compute_statistics",
     "runtime_load",

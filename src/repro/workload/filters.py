@@ -8,36 +8,20 @@ implement exactly those splits on :class:`~repro.workload.workload.Workload`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.workload.workload import Workload
 
 __all__ = [
-    "filter_jobs",
     "split_interactive_batch",
     "split_time_windows",
-    "restrict_to_window",
     "SECONDS_PER_MONTH",
 ]
 
 #: Average-month length used for the paper's "six months" windows.
 SECONDS_PER_MONTH = 30.4375 * 24 * 3600.0
-
-
-def filter_jobs(
-    workload: Workload,
-    predicate: Callable[[Workload], np.ndarray],
-    name: Optional[str] = None,
-) -> Workload:
-    """Filter with a vectorized predicate ``workload -> boolean mask``."""
-    mask = np.asarray(predicate(workload), dtype=bool)
-    if mask.shape != (len(workload),):
-        raise ValueError(
-            f"predicate returned shape {mask.shape}, expected ({len(workload)},)"
-        )
-    return workload.filter(mask, name=name)
 
 
 def split_interactive_batch(
@@ -70,20 +54,6 @@ def split_interactive_batch(
     inter = workload.filter(mask, name=f"{workload.name}-inter")
     batch = workload.filter(~mask, name=f"{workload.name}-batch")
     return inter, batch
-
-
-def restrict_to_window(
-    workload: Workload,
-    start: float,
-    end: float,
-    name: Optional[str] = None,
-) -> Workload:
-    """Jobs submitted in ``[start, end)`` (seconds from log origin)."""
-    if not end > start:
-        raise ValueError(f"end must exceed start, got [{start}, {end})")
-    submit = workload.column("submit_time")
-    mask = (submit >= start) & (submit < end)
-    return workload.filter(mask, name=name if name is not None else workload.name)
 
 
 def split_time_windows(

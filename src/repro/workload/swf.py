@@ -20,15 +20,17 @@ drops bad lines, and ``"quarantine"`` drops them *and* records each as a
 so a dirty archive file shows up in the same audit as the paper's other
 log anomalies.
 
-Two scan paths share these semantics.  The fast path hands the whole job
-block to NumPy's C tokenizer in one call — no per-field ``float()``, no
-per-line Python loop — and is taken only when it provably matches the
-reference scan: comments confined to the leading header block, ordinary
-newlines, and a clean uniform job table.  Anything else (a malformed
-token, ragged records, mid-file comments, exotic line separators) falls
-back to the original per-line scan (``_scan_reference``), so ``on_error``
-policies, short-record padding and ``SwfParseError`` line numbers are
-preserved bit for bit.  NumPy's tokenizer accepts a strict subset of
+Two scan paths share these semantics.  Every input reaches them as bytes:
+a string is encoded as UTF-8, and a gzip file or binary handle is
+decompressed.  The fast path hands the whole job block to NumPy's C
+tokenizer in one call — no per-field ``float()``, no per-line Python
+loop — and is taken only when it provably matches the reference scan:
+comments confined to the leading header block, ordinary newlines, and a
+clean uniform job table.  Anything else (a malformed token, ragged
+records, mid-file comments, exotic line separators) falls back to the
+original per-line scan (``_scan_reference``), so ``on_error`` policies,
+short-record padding and ``SwfParseError`` line numbers are preserved
+bit for bit.  NumPy's tokenizer accepts a strict subset of
 Python ``float`` syntax, so the fallback is the only direction the two
 paths can disagree in.  Wrappers that take the per-line scan for every
 input are the equivalence oracles in ``tests/oracles/swf.py``.
@@ -39,7 +41,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -176,8 +178,8 @@ def _empty_columns() -> Dict[str, np.ndarray]:
 def _loadtxt_attempts(make_source) -> Optional[Dict[str, np.ndarray]]:
     """Bulk-parse a job table: integer-heavy dtype first, float matrix second.
 
-    *make_source* returns a fresh loadtxt input (line list or seeked byte
-    stream) per attempt.  ``None`` means the reference scan must decide.
+    *make_source* returns a fresh loadtxt input (the seeked byte stream)
+    per attempt.  ``None`` means the reference scan must decide.
     """
     try:
         rec = np.atleast_1d(
@@ -205,16 +207,19 @@ def _loadtxt_attempts(make_source) -> Optional[Dict[str, np.ndarray]]:
 
 
 def _scan_bytes(raw: bytes) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarray]]]:
-    """Bulk scan of raw file bytes; ``None`` -> decode and use the text path.
+    """Bulk scan of raw SWF bytes; ``None`` -> decode and use the reference scan.
 
-    The big win over :func:`_scan_fast` is that the job table never
-    becomes a Python string at all — loadtxt's C tokenizer reads the
-    byte stream directly, so a 100k-job file skips both the UTF-8 decode
-    and the per-line split.  Guards mirror the text path; additionally,
-    bytes that loadtxt treats as field separators but ``str.splitlines``
-    treats as line breaks (``\\v \\f \\x1c \\x1d \\x1e \\x85``) force the
-    fallback (``\\x85`` may falsely match a UTF-8 continuation byte —
-    that only costs speed, never correctness).  Lone ``\\r`` needs no
+    Splits the leading comment block off by hand, then hands the entire
+    job table to ``np.loadtxt`` (:func:`_loadtxt_attempts`).  The job
+    table never becomes a Python string at all — loadtxt's C tokenizer
+    reads the byte stream directly, so a 100k-job file skips both the
+    UTF-8 decode and the per-line split.  Eligibility is checked up front
+    so a success is guaranteed to equal the reference scan: a comment
+    below the first job line, or bytes that loadtxt treats as field
+    separators but ``str.splitlines`` treats as line breaks
+    (``\\v \\f \\x1c \\x1d \\x1e \\x85``), force the fallback
+    (``\\x85`` may falsely match a UTF-8 continuation byte — that only
+    costs speed, never correctness).  Lone ``\\r`` needs no
     guard: loadtxt refuses embedded carriage returns, so mixed line
     endings fail into the fallback on their own.
     """
@@ -256,71 +261,6 @@ def _scan_bytes(raw: bytes) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarr
     return headers, columns
 
 
-def _scan_fast(text: str) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarray]]]:
-    """Bulk NumPy scan; ``None`` whenever the reference scan must decide.
-
-    Splits the leading comment block off by hand, then hands the entire
-    job table to ``np.loadtxt`` (its C tokenizer parses every field
-    without a Python-level loop) — first with :data:`_FAST_DTYPE` so the
-    predominantly integral columns take the integer converter, then as a
-    plain float64 matrix.  Eligibility is checked up front so a success
-    is guaranteed to equal the reference scan: any surprise — a comment
-    below the first job line, a carriage return, a ragged or non-numeric
-    record — returns ``None`` instead of guessing.
-    """
-    if any(c in text for c in _EXOTIC_BREAKS):
-        return None
-    headers: Dict[str, str] = {}
-    pos, n = 0, len(text)
-    skip = 0  # newline-delimited lines consumed by the header block
-    while pos < n:
-        nl = text.find("\n", pos)
-        end = n if nl < 0 else nl
-        line = text[pos:end].strip()
-        if not line:
-            pos = end + 1
-            skip += 1
-            continue
-        if line.startswith(";"):
-            _parse_header_line(headers, line)
-            pos = end + 1
-            skip += 1
-            continue
-        break  # first job line starts here
-    if text.find(";", pos) != -1:
-        return None  # comments (or stray semicolons) below the header block
-    # One split of the whole text; the job block is a cheap list slice
-    # (slicing the text itself would copy megabytes).
-    lines = text.split("\n")[skip:]
-    for line in lines:
-        if line and not line.isspace():
-            break  # found the first job line (normally iteration one)
-    else:
-        empty = np.empty((0, len(SWF_FIELDS)))
-        return headers, {f.name: empty[:, f.index] for f in SWF_FIELDS}
-    try:
-        rec = np.atleast_1d(np.loadtxt(lines, dtype=_FAST_DTYPE, comments=None))
-    except (ValueError, OverflowError):
-        rec = None
-    if rec is not None:
-        columns = _columns_from_record(rec)
-        if columns is not None:
-            return headers, columns
-    try:
-        data = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        return None  # ragged or non-numeric: the reference scan rules
-    if data.shape[1] > len(SWF_FIELDS):
-        return None  # every line over-long: reference reports each line
-    if data.shape[1] < len(SWF_FIELDS):
-        # Uniformly short records: pad trailing unknowns like the
-        # reference scan pads each row.
-        padded = np.full((data.shape[0], len(SWF_FIELDS)), float(MISSING))
-        padded[:, : data.shape[1]] = data
-        data = padded
-    return headers, {f.name: data[:, f.index] for f in SWF_FIELDS}
-
-
 def _build_workload(
     headers: Dict[str, str],
     columns: Dict[str, np.ndarray],
@@ -355,6 +295,41 @@ def _build_workload(
     return workload
 
 
+def _parse(
+    raw: Optional[bytes],
+    text: Optional[str],
+    name: Optional[str],
+    machine: Optional[MachineInfo],
+    on_error: str,
+) -> Workload:
+    """The one SWF parse: the bulk byte scan, else the reference scan.
+
+    *raw* is the whole decompressed content; *text* is its decoded form
+    when the caller already holds it.  A string UTF-8 cannot encode (a
+    lone surrogate) arrives as ``raw=None`` and goes straight to the
+    reference scan.
+    """
+    if on_error not in _ON_ERROR_POLICIES:
+        raise ValueError(
+            f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
+        )
+    errors: List[SwfParseError] = []
+    with obs_span("swf.parse", on_error=on_error) as _sp:
+        fast = None if raw is None else _scan_bytes(raw)
+        if fast is not None:
+            headers, columns = fast
+        else:
+            if text is None:
+                text = raw.decode("utf-8")
+            headers, columns, errors = _scan_reference(text, on_error)
+        _sp.set(
+            jobs=int(columns["job_id"].shape[0]),
+            bad_lines=len(errors),
+            fast=fast is not None,
+        )
+    return _build_workload(headers, columns, errors, name, machine, on_error)
+
+
 def parse_swf_text(
     text: str,
     *,
@@ -381,61 +356,46 @@ def parse_swf_text(
         them and records each on ``workload.parse_errors`` for the
         anomaly audit.
     """
-    if on_error not in _ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
-        )
-    errors: List[SwfParseError] = []
-    with obs_span("swf.parse", on_error=on_error) as _sp:
-        fast = _scan_fast(text)
-        if fast is not None:
-            headers, columns = fast
-        else:
-            headers, columns, errors = _scan_reference(text, on_error)
-        _sp.set(
-            jobs=int(columns["job_id"].shape[0]),
-            bad_lines=len(errors),
-            fast=fast is not None,
-        )
-    return _build_workload(headers, columns, errors, name, machine, on_error)
+    try:
+        raw: Optional[bytes] = text.encode("utf-8")
+    except UnicodeEncodeError:
+        raw = None
+    return _parse(raw, text, name, machine, on_error)
 
 
 def read_swf(
-    path: Union[str, os.PathLike, TextIO],
+    path: Union[str, os.PathLike, TextIO, BinaryIO],
     *,
     name: Optional[str] = None,
     machine: Optional[MachineInfo] = None,
     on_error: str = "raise",
 ) -> Workload:
-    """Read a workload from an SWF file path or open text file.
+    """Read a workload from an SWF file path or an open text or binary file.
 
-    Gzip-compressed files are handled transparently (the Parallel
+    Gzip-compressed content is handled transparently (the Parallel
     Workloads Archive distributes its logs as ``.swf.gz``), detected by
-    the gzip magic bytes rather than the extension.  *on_error* is the
-    malformed-line policy of :func:`parse_swf_text`.
+    the gzip magic bytes rather than the extension, for a path and a
+    binary file alike.  *on_error* is the malformed-line policy of
+    :func:`parse_swf_text`.
     """
     if hasattr(path, "read"):
-        return parse_swf_text(path.read(), name=name, machine=machine, on_error=on_error)
-    if on_error not in _ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
-        )
-    raw = _read_raw_bytes(path)
-    fast = _scan_bytes(raw)
-    if fast is not None:
-        headers, columns = fast
-        with obs_span("swf.parse", on_error=on_error) as _sp:
-            _sp.set(jobs=int(columns["job_id"].shape[0]), bad_lines=0, fast=True)
-        return _build_workload(headers, columns, [], name, machine, on_error)
-    return parse_swf_text(
-        raw.decode("utf-8"), name=name, machine=machine, on_error=on_error
-    )
+        content = path.read()
+        if isinstance(content, str):
+            return parse_swf_text(content, name=name, machine=machine, on_error=on_error)
+        raw = _gunzip(content)
+    else:
+        raw = _read_raw_bytes(path)
+    return _parse(raw, None, name, machine, on_error)
 
 
 def _read_raw_bytes(path: Union[str, os.PathLike]) -> bytes:
     """Whole file as bytes, transparently gunzipping by magic number."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        return _gunzip(fh.read())
+
+
+def _gunzip(raw: bytes) -> bytes:
+    """*raw*, decompressed if it starts with the gzip magic number."""
     if raw[:2] == b"\x1f\x8b":
         import gzip
 

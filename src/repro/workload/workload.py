@@ -9,12 +9,11 @@ operations over per-job loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from repro.workload.fields import FIELD_NAMES, MISSING, SWF_FIELDS
-from repro.workload.job import Job
 
 __all__ = ["MachineInfo", "Workload"]
 
@@ -81,23 +80,6 @@ class Workload:
 
     # -- construction ----------------------------------------------------
     @classmethod
-    def from_jobs(
-        cls,
-        jobs: Iterable[Job],
-        machine: MachineInfo,
-        name: Optional[str] = None,
-    ) -> "Workload":
-        """Build a workload from an iterable of :class:`Job` records."""
-        jobs = list(jobs)
-        columns = {
-            field_name: np.array([getattr(job, field_name) for job in jobs])
-            if jobs
-            else np.array([])
-            for field_name in FIELD_NAMES
-        }
-        return cls(columns, machine, name)
-
-    @classmethod
     def from_arrays(
         cls,
         *,
@@ -156,20 +138,6 @@ class Workload:
             f"Workload(name={self.name!r}, jobs={len(self)}, "
             f"machine={self.machine.name!r}, procs={self.machine.processors})"
         )
-
-    def to_jobs(self) -> Iterator[Job]:
-        """Iterate over the jobs as scalar :class:`Job` records."""
-        for i in range(len(self)):
-            yield Job(
-                **{
-                    field_name: (
-                        int(self._columns[field_name][i])
-                        if field_name in _INT_FIELDS
-                        else float(self._columns[field_name][i])
-                    )
-                    for field_name in FIELD_NAMES
-                }
-            )
 
     # -- derived quantities ------------------------------------------------
     @property

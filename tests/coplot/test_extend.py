@@ -1,18 +1,18 @@
-"""Tests for Co-plot projection and bootstrap stability."""
+"""Tests for Co-plot bootstrap stability."""
 
 import numpy as np
 import pytest
 
-from repro.coplot import Coplot, bootstrap_stability, project_observation
+from repro.coplot import Coplot, bootstrap_stability
 
 from oracles.bootstrap import bootstrap_stability_reference
 
 
 @pytest.fixture(scope="module")
-def fitted():
+def structured():
     rng = np.random.default_rng(7)
     base = rng.normal(size=(10, 2))
-    y = np.column_stack(
+    return np.column_stack(
         [
             base[:, 0],
             2.0 * base[:, 0] + 0.1 * rng.normal(size=10),
@@ -20,69 +20,25 @@ def fitted():
             base[:, 0] + base[:, 1],
         ]
     )
-    return y, Coplot().fit(y, labels=[f"w{i}" for i in range(10)], signs=list("ABCD"))
-
-
-class TestProjectObservation:
-    def test_existing_row_projects_onto_itself(self, fitted):
-        y, result = fitted
-        pos, stress = project_observation(result, y[3])
-        assert np.linalg.norm(pos - result.coords[3]) < 0.35
-        assert stress < 0.35
-
-    def test_duplicate_of_extreme_row(self, fitted):
-        y, result = fitted
-        extreme = int(np.argmax(np.abs(y[:, 0])))
-        pos, _ = project_observation(result, y[extreme])
-        dists = np.linalg.norm(result.coords - pos, axis=1)
-        assert int(np.argmin(dists)) == extreme
-
-    def test_average_row_lands_centrally(self, fitted):
-        y, result = fitted
-        pos, _ = project_observation(result, np.nanmean(y, axis=0))
-        centroid = result.coords.mean(axis=0)
-        spread = np.mean(np.linalg.norm(result.coords - centroid, axis=1))
-        assert np.linalg.norm(pos - centroid) < spread
-
-    def test_nan_values_allowed(self, fitted):
-        y, result = fitted
-        row = y[2].copy()
-        row[1] = np.nan
-        pos, stress = project_observation(result, row)
-        assert np.isfinite(pos).all()
-
-    def test_wrong_length_rejected(self, fitted):
-        _, result = fitted
-        with pytest.raises(ValueError, match="expected 4 values"):
-            project_observation(result, np.zeros(3))
-
-    def test_deterministic(self, fitted):
-        y, result = fitted
-        a, _ = project_observation(result, y[5], seed=3)
-        b, _ = project_observation(result, y[5], seed=3)
-        assert np.array_equal(a, b)
 
 
 class TestBootstrapStability:
-    def test_structured_data_is_stable(self, fitted):
-        y, _ = fitted
-        report = bootstrap_stability(y, n_boot=8, seed=0)
+    def test_structured_data_is_stable(self, structured):
+        report = bootstrap_stability(structured, n_boot=8, seed=0)
         assert report.mean_disparity < 0.35
         assert report.positional_spread.shape == (10,)
         assert np.all(report.positional_spread >= 0)
 
-    def test_labels_carried(self, fitted):
-        y, _ = fitted
+    def test_labels_carried(self, structured):
         report = bootstrap_stability(
-            y, labels=[f"w{i}" for i in range(10)], n_boot=4, seed=0
+            structured, labels=[f"w{i}" for i in range(10)], n_boot=4, seed=0
         )
         assert report.labels == [f"w{i}" for i in range(10)]
         assert set(report.least_stable(2)) <= set(report.labels)
 
-    def test_n_boot_validation(self, fitted):
-        y, _ = fitted
+    def test_n_boot_validation(self, structured):
         with pytest.raises(ValueError, match="n_boot"):
-            bootstrap_stability(y, n_boot=1)
+            bootstrap_stability(structured, n_boot=1)
 
     def test_noise_less_stable_than_structure(self):
         rng = np.random.default_rng(11)
@@ -142,40 +98,3 @@ class TestBootstrapEngines:
         np.testing.assert_allclose(
             ref.positional_spread, fast.positional_spread, atol=1e-10
         )
-
-
-class TestProjectionDissimVectorized:
-    def test_matches_scalar_city_block_dense(self, fitted):
-        from repro.coplot.dissimilarity import city_block
-        from repro.coplot.extend import _column_norms, _dissim_to_rows
-
-        y, result = fitted
-        rng = np.random.default_rng(5)
-        new = rng.normal(size=y.shape[1])
-        means, stds = _column_norms(result.y)
-        z_new = (new - means) / stds
-        old = np.array([city_block(z_new, row) for row in result.z])
-        np.testing.assert_array_equal(_dissim_to_rows(z_new, result.z), old)
-
-    def test_matches_scalar_city_block_with_nans(self):
-        from repro.coplot.dissimilarity import city_block
-        from repro.coplot.extend import _dissim_to_rows
-
-        rng = np.random.default_rng(6)
-        z = rng.normal(size=(8, 10))
-        z[1, 3] = np.nan
-        z[5, 8] = np.nan
-        z_new = rng.normal(size=10)
-        z_new[2] = np.nan
-        old = np.array([city_block(z_new, row) for row in z])
-        np.testing.assert_allclose(
-            _dissim_to_rows(z_new, z), old, rtol=1e-12, atol=0
-        )
-
-    def test_no_shared_variables_raises(self):
-        from repro.coplot.extend import _dissim_to_rows
-
-        z = np.full((4, 3), np.nan)
-        z[0] = [1.0, 2.0, 3.0]
-        with pytest.raises(ValueError, match="share no present variables"):
-            _dissim_to_rows(np.array([1.0, np.nan, 2.0]), np.array([[np.nan] * 3]))

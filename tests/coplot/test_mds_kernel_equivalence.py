@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.coplot.mds.base import pairwise_euclidean
-from repro.coplot.mds.monotone import _pava_rows, isotonic_regression
+from repro.coplot.mds.monotone import _pava_rows
 from repro.coplot.mds.smacof import _run_batch, smacof
 
 from oracles.mds import isotonic_regression_reference, run_batch_reference, smacof_reference
@@ -34,25 +34,15 @@ class TestPavaEquivalence:
     @given(y=st.lists(_tieable, min_size=1, max_size=60))
     @settings(max_examples=150, deadline=None)
     def test_unweighted_matches_reference(self, y):
-        got = isotonic_regression(y)
+        """A one-row batch is the 1-D fit."""
+        got = _pava_rows(np.array([y]))[0]
         want = isotonic_regression_reference(y)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    @given(
-        y=st.lists(_tieable, min_size=1, max_size=40),
-        wseed=st.integers(min_value=0, max_value=2**31),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_weighted_matches_reference(self, y, wseed):
-        w = np.random.default_rng(wseed).uniform(0.1, 5.0, size=len(y))
-        got = isotonic_regression(y, weights=w)
-        want = isotonic_regression_reference(y, weights=w)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @given(y=st.lists(_tieable, min_size=1, max_size=60))
     @settings(max_examples=100, deadline=None)
     def test_result_is_monotone_and_mean_preserving(self, y):
-        fit = isotonic_regression(y)
+        fit = _pava_rows(np.array([y]))[0]
         assert np.all(np.diff(fit) >= -1e-12)
         assert np.mean(fit) == pytest.approx(np.mean(y), abs=1e-9)
 

@@ -1,4 +1,9 @@
-"""Tests for PAVA isotonic regression and Guttman's rank-image transform."""
+"""Tests for PAVA isotonic regression and Guttman's rank-image transform.
+
+The product's PAVA is the row-batched ``_pava_rows`` SMACOF calls; a
+one-row batch is the 1-D fit.  ``rank_image`` is the checked transform
+the scalar SMACOF oracle uses.
+"""
 
 import numpy as np
 import pytest
@@ -6,7 +11,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.coplot import isotonic_regression, rank_image
+from repro.coplot.mds.monotone import _pava_rows
+
+from oracles.mds import rank_image
 
 vectors = hnp.arrays(
     float,
@@ -15,51 +22,45 @@ vectors = hnp.arrays(
 )
 
 
+def pava_fit(y):
+    return _pava_rows(np.array([y], dtype=float))[0]
+
+
 class TestIsotonicRegression:
     def test_already_monotone_unchanged(self):
         y = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(isotonic_regression(y), y)
+        assert np.array_equal(pava_fit(y), y)
 
     def test_single_violation_pooled(self):
-        out = isotonic_regression([1.0, 3.0, 2.0])
+        out = pava_fit([1.0, 3.0, 2.0])
         assert np.allclose(out, [1.0, 2.5, 2.5])
 
     def test_decreasing_input_pooled_to_mean(self):
-        out = isotonic_regression([3.0, 2.0, 1.0])
+        out = pava_fit([3.0, 2.0, 1.0])
         assert np.allclose(out, 2.0)
 
     @given(vectors)
     def test_property_output_monotone(self, y):
-        out = isotonic_regression(y)
+        out = pava_fit(y)
         assert np.all(np.diff(out) >= -1e-9)
 
     @given(vectors)
     def test_property_mean_preserved(self, y):
         # Unweighted PAVA preserves the total (block means).
-        assert isotonic_regression(y).mean() == pytest.approx(y.mean(), abs=1e-6)
+        assert pava_fit(y).mean() == pytest.approx(y.mean(), abs=1e-6)
 
     @given(vectors)
     def test_property_idempotent(self, y):
-        once = isotonic_regression(y)
-        twice = isotonic_regression(once)
+        once = pava_fit(y)
+        twice = pava_fit(once)
         assert np.allclose(once, twice)
 
     @given(vectors)
     def test_property_best_l2_monotone_fit(self, y):
         """PAVA beats (or ties) a simple monotone competitor: the sorted y."""
-        fit = isotonic_regression(y)
+        fit = pava_fit(y)
         competitor = np.sort(y)
         assert np.sum((fit - y) ** 2) <= np.sum((competitor - y) ** 2) + 1e-6
-
-    def test_weights_shift_pool(self):
-        out = isotonic_regression([3.0, 1.0], weights=[3.0, 1.0])
-        assert np.allclose(out, [2.5, 2.5])
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            isotonic_regression([1.0, 2.0], weights=[1.0, 0.0])
-        with pytest.raises(ValueError, match="match"):
-            isotonic_regression([1.0, 2.0], weights=[1.0])
 
 
 class TestRankImage:

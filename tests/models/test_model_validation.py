@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.models import LublinModel, rank_models, validate_model
-from repro.stats import empirical_cdf, ks_statistic, qq_log_distance
+from repro.stats import ks_statistic, qq_log_distance
 
 
 class TestGof:
@@ -41,10 +41,6 @@ class TestGof:
         a = np.zeros(100)
         b = np.ones(100)
         assert math.isfinite(qq_log_distance(a, b))
-
-    def test_empirical_cdf(self):
-        f = empirical_cdf([1.0, 2.0, 3.0, 4.0], [0.0, 2.0, 5.0])
-        assert np.allclose(f, [0.0, 0.5, 1.0])
 
     def test_qq_validation(self):
         with pytest.raises(ValueError):
@@ -81,7 +77,6 @@ class TestValidateModel:
         assert {m.attribute for m in report.marginals} == {
             "run_time", "used_procs", "interarrival"
         }
-        assert "order statistics" in report.render()
 
     def test_hurst_toggle(self, synthesized_ctc):
         fast = validate_model(

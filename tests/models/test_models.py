@@ -10,10 +10,10 @@ from repro.models import (
     JannModel,
     LublinModel,
     WorkloadModel,
-    all_models,
     create_model,
     MODEL_NAMES,
 )
+from repro.selfsim import binned_counts, periodogram
 
 SIMPLE_MODELS = [Feitelson96Model, Feitelson97Model, DowneyModel, LublinModel]
 
@@ -199,6 +199,29 @@ class TestLublin:
             else:
                 assert ratio < 1.5
 
+    @staticmethod
+    def _prominence_at(series, period):
+        """Periodogram ordinate nearest *period* over the median of its 50
+        neighbours: white noise stays below ~ln(n)/ln(2), a cycle far above."""
+        omega, per = periodogram(series)
+        i = int(np.argmin(np.abs(2 * np.pi / omega - period)))
+        local = np.delete(per[max(0, i - 25) : i + 26], i - max(0, i - 25))
+        return per[i] / np.median(local)
+
+    def test_daily_cycle_peaks_at_24_hours(self):
+        """The rush-hour cycle shows up at 24 hours in the hourly arrival
+        counts."""
+        w = LublinModel(cycle_amplitude=0.8, median_interarrival=40.0).generate(
+            20000, seed=0
+        )
+        assert self._prominence_at(binned_counts(w, 3600.0), 24.0) >= 30.0
+
+    def test_flat_cycle_has_no_24_hour_peak(self):
+        w = LublinModel(cycle_amplitude=0.0, median_interarrival=40.0).generate(
+            20000, seed=0
+        )
+        assert self._prominence_at(binned_counts(w, 3600.0), 24.0) < 30.0
+
     def test_size_runtime_correlation(self):
         w = LublinModel().generate(12000, seed=0)
         procs = w.column("used_procs").astype(float)
@@ -339,6 +362,5 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown model"):
             create_model("Mystery")
 
-    def test_all_models(self):
-        models = all_models()
-        assert [m.name for m in models] == list(MODEL_NAMES)
+    def test_every_name_creates_its_model(self):
+        assert [create_model(name).name for name in MODEL_NAMES] == list(MODEL_NAMES)

@@ -5,10 +5,10 @@ written as a rewrite of a plain scalar loop, and that loop lives on here,
 unchanged in its arithmetic, as the kernel's equivalence oracle:
 
 * :mod:`oracles.mds` — one-restart-at-a-time SMACOF (``_run_single`` with
-  its scalar disparities and Guttman transform), the (k, n, n) lockstep
-  loop, and the stack-based PAVA loop, for
-  :func:`repro.coplot.mds.smacof.smacof`, its ``_run_batch`` and
-  :func:`repro.coplot.mds.monotone.isotonic_regression`;
+  its scalar disparities, checked ``rank_image`` and Guttman transform),
+  the (k, n, n) lockstep loop, and the stack-based PAVA loop, for
+  :func:`repro.coplot.mds.smacof.smacof`, its ``_run_batch`` and the
+  row-batched PAVA ``_pava_rows`` in :mod:`repro.coplot.mds.monotone`;
 * :mod:`oracles.bootstrap` — the per-replicate ``Coplot.fit`` loop, for
   :func:`repro.coplot.extend.bootstrap_stability`;
 * :mod:`oracles.models` — the per-job generation loops of the Lublin,

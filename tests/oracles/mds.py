@@ -5,8 +5,9 @@
 :func:`~repro.coplot.mds.smacof.smacof` (the given *init*, or classical
 scaling plus ``n_init - 1`` normals from ``as_generator(seed)``), runs
 each restart alone through :func:`_run_single`, and keeps the best by the
-same rule.  :func:`isotonic_regression_reference` is the stack-based PAVA
-loop the block-merge kernels replaced.
+same rule.  Its disparities come from :func:`isotonic_regression_reference`,
+the stack-based PAVA loop the block-merge kernel ``_pava_rows`` replaced,
+and :func:`rank_image`, Guttman's transform with its input checks.
 
 :func:`run_batch_reference` is the lockstep ``_run_batch`` that the
 pair-triangle loop in :mod:`repro.coplot.mds.smacof` replaced: every
@@ -31,7 +32,7 @@ from repro.coplot.mds.base import (
     upper_triangle,
 )
 from repro.coplot.mds.classical import classical_mds
-from repro.coplot.mds.monotone import _check_weights, _pava_rows, rank_image
+from repro.coplot.mds.monotone import _pava_rows
 from repro.coplot.mds.smacof import (
     _batched_orders,
     _batched_stress,
@@ -42,17 +43,62 @@ from repro.coplot.mds.smacof import (
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_1d
 
-__all__ = ["isotonic_regression_reference", "run_batch_reference", "smacof_reference"]
+__all__ = [
+    "isotonic_regression_reference",
+    "rank_image",
+    "run_batch_reference",
+    "smacof_reference",
+]
 
 _TRANSFORMS = ("metric", "isotonic", "rank-image")
+
+
+def _check_weights(arr: np.ndarray, weights) -> np.ndarray:
+    if weights is None:
+        return np.ones_like(arr)
+    w = check_1d(weights, "weights")
+    if w.shape != arr.shape:
+        raise ValueError("weights must match y in length")
+    if np.any(w <= 0):
+        raise ValueError("weights must be positive")
+    return w
+
+
+def _rank_image_unchecked(d: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Rank-image kernel: no permutation re-verification (hot loop)."""
+    out = np.empty(d.shape[0])
+    out[order] = np.sort(d)
+    return out
+
+
+def rank_image(distances, order: Optional[np.ndarray] = None) -> np.ndarray:
+    """Guttman's rank-image transform.
+
+    Returns the vector holding the same multiset of values as *distances*
+    but arranged so that its order agrees with *order* (the permutation that
+    sorts the dissimilarities ascending).  With ``order=None`` the distances
+    are assumed to be already listed in dissimilarity order, and the result
+    is simply ``sort(distances)`` mapped back to the original positions.
+    """
+    d = check_1d(distances, "distances", min_len=1)
+    n = len(d)
+    if order is None:
+        order = np.arange(n)
+    else:
+        order = np.asarray(order)
+        if sorted(order.tolist()) != list(range(n)):
+            raise ValueError("order must be a permutation of 0..n-1")
+    # Positions listed in dissimilarity order receive the sorted distances.
+    return _rank_image_unchecked(d, order)
 
 
 def isotonic_regression_reference(y, weights=None) -> np.ndarray:
     """The original scalar PAVA loop.
 
     Maintains blocks as (value, weight, count) on an explicit stack and
-    merges backwards whenever a new block violates monotonicity.  Same
-    contract as :func:`repro.coplot.mds.monotone.isotonic_regression`.
+    merges backwards whenever a new block violates monotonicity.  Returns
+    the non-decreasing vector minimizing ``Σ w (fit - y)²`` over *y*,
+    with optional positive *weights*.
     """
     arr = check_1d(y, "y", min_len=1)
     w = _check_weights(arr, weights)

@@ -1,13 +1,6 @@
 """Unit tests for the scheduling policies (direct select() calls)."""
 
-import pytest
-
-from repro.scheduler import (
-    ConservativeBackfillScheduler,
-    EasyBackfillScheduler,
-    FcfsScheduler,
-    scheduler_for_flexibility,
-)
+from repro.scheduler import EasyBackfillScheduler, FcfsScheduler
 from repro.scheduler.policies import QueuedJob
 
 
@@ -74,44 +67,3 @@ class TestEasy:
         total = sum(j.size for j in started)
         assert total <= 4
         assert [j.index for j in started] == [1, 2]
-
-
-class TestConservative:
-    def test_starts_when_fits(self):
-        queue = [job(0, 4, 10)]
-        started = ConservativeBackfillScheduler().select(0.0, queue, free=8, running=[])
-        assert [j.index for j in started] == [0]
-
-    def test_backfills_without_delaying_reservations(self):
-        # Head (8) reserved at t=100.  Short small job can slot in now.
-        queue = [job(0, 8, 50), job(1, 2, 10)]
-        started = ConservativeBackfillScheduler().select(
-            0.0, queue, free=4, running=[(100.0, 4)]
-        )
-        assert [j.index for j in started] == [1]
-
-    def test_respects_second_reservation(self):
-        # Two queued 8-wide jobs hold reservations at 100 and 150; a
-        # 4-wide job lasting 1000 would collide with both reservations'
-        # capacity and must wait.
-        queue = [job(0, 8, 50), job(1, 8, 50), job(2, 4, 1000)]
-        started = ConservativeBackfillScheduler().select(
-            0.0, queue, free=4, running=[(100.0, 4)]
-        )
-        assert [j.index for j in started] == []
-
-    def test_never_oversubscribes(self):
-        queue = [job(i, 3, 10) for i in range(5)]
-        started = ConservativeBackfillScheduler().select(0.0, queue, free=8, running=[])
-        assert sum(j.size for j in started) <= 8
-
-
-class TestFactory:
-    def test_ranks(self):
-        assert scheduler_for_flexibility(1).name == "FCFS"
-        assert scheduler_for_flexibility(2).name == "EASY"
-        assert scheduler_for_flexibility(3).name == "conservative"
-
-    def test_bad_rank(self):
-        with pytest.raises(ValueError):
-            scheduler_for_flexibility(0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.scheduler import (
-    ConservativeBackfillScheduler,
     EasyBackfillScheduler,
     FcfsScheduler,
     PowerOfTwoAllocator,
@@ -71,7 +70,7 @@ class TestSimulatorBasics:
             (float(t), float(rng.uniform(1, 30)), int(rng.integers(1, 9)))
             for t in np.sort(rng.uniform(0, 300, 80))
         ]
-        for policy in (FcfsScheduler(), EasyBackfillScheduler(), ConservativeBackfillScheduler()):
+        for policy in (FcfsScheduler(), EasyBackfillScheduler()):
             res = simulate(make_workload(jobs), policy)
             assert not np.any(np.isnan(res.start))
             assert np.all(res.start >= res.submit - 1e-9)
@@ -125,11 +124,6 @@ class TestPolicyOrdering:
         fcfs = compute_metrics(simulate(contended, FcfsScheduler()))
         easy = compute_metrics(simulate(contended, EasyBackfillScheduler()))
         assert easy.mean_wait <= fcfs.mean_wait
-
-    def test_conservative_beats_fcfs(self, contended):
-        fcfs = compute_metrics(simulate(contended, FcfsScheduler()))
-        cons = compute_metrics(simulate(contended, ConservativeBackfillScheduler()))
-        assert cons.mean_wait <= fcfs.mean_wait
 
     def test_flexible_allocation_not_worse(self, contended):
         easy = EasyBackfillScheduler()

@@ -7,7 +7,6 @@ import pytest
 
 from repro.selfsim import (
     aggregate_series,
-    autocorrelation,
     estimate_hurst,
     fgn,
     hurst_local_whittle,
@@ -47,33 +46,6 @@ class TestAggregate:
         v1 = x.var()
         v10 = aggregate_series(x, 10).var()
         assert v10 == pytest.approx(v1 / 10.0, rel=0.1)
-
-
-class TestAutocorrelation:
-    def test_lag_zero_is_one(self, rng):
-        acf = autocorrelation(rng.normal(size=500), 5)
-        assert acf[0] == pytest.approx(1.0)
-
-    def test_alternating_series(self):
-        x = np.array([1.0, -1.0] * 100)
-        acf = autocorrelation(x, 2)
-        assert acf[1] == pytest.approx(-1.0, abs=0.02)
-        assert acf[2] == pytest.approx(1.0, abs=0.02)
-
-    def test_matches_direct_computation(self, rng):
-        x = rng.normal(size=300)
-        acf = autocorrelation(x, 3)
-        c = x - x.mean()
-        direct = float(np.sum(c[:-2] * c[2:])) / float(np.sum(c * c))
-        assert acf[2] == pytest.approx(direct, abs=1e-10)
-
-    def test_constant_series(self):
-        acf = autocorrelation(np.full(50, 2.0), 3)
-        assert acf[0] == 1.0 and np.allclose(acf[1:], 0.0)
-
-    def test_lag_validation(self):
-        with pytest.raises(ValueError):
-            autocorrelation([1.0, 2.0], 5)
 
 
 class TestRS:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.selfsim import fbm, fgn, fgn_autocovariance
+from repro.selfsim import fgn, fgn_autocovariance
 
 
 class TestAutocovariance:
@@ -88,17 +88,3 @@ class TestFgn:
     def test_non_power_of_two_length(self):
         assert fgn(1000, 0.7, seed=0).shape == (1000,)
         assert fgn(1025, 0.7, seed=0).shape == (1025,)
-
-
-class TestFbm:
-    def test_starts_at_zero(self):
-        assert fbm(100, 0.7, seed=0)[0] == 0.0
-
-    def test_increments_are_fgn(self):
-        path = fbm(500, 0.7, seed=1)
-        increments = np.diff(path)
-        expected = fgn(500, 0.7, seed=1)
-        assert np.allclose(increments, expected)
-
-    def test_length(self):
-        assert fbm(100, 0.7, seed=0).shape == (101,)

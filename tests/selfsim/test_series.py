@@ -81,7 +81,7 @@ class TestBinnedCounts:
         assert counts.sum() == len(small_workload)
 
     def test_empty(self, machine):
-        w = Workload.from_jobs([], machine)
+        w = Workload.from_arrays(machine=machine, submit_time=[])
         assert binned_counts(w, 10.0).size == 0
 
     def test_validation(self, small_workload):

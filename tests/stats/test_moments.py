@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.stats.distributions import HyperExponential
-from repro.stats.moments import (
-    central_to_raw,
-    fit_hyper_erlang,
-    fit_two_stage_hyperexp,
-    raw_to_central,
-    sample_moments,
-)
+from repro.stats.distributions import Exponential, Mixture
+from repro.stats.moments import fit_hyper_erlang, sample_moments
 
 
 class TestSampleMoments:
@@ -31,28 +25,13 @@ class TestSampleMoments:
             sample_moments([1.0], 0)
 
 
-class TestMomentConversions:
-    def test_roundtrip(self):
-        raw = np.array([2.0, 7.0, 30.0])
-        central = raw_to_central(raw)
-        back = central_to_raw(central[0], central[1:])
-        assert np.allclose(back, raw)
-
-    def test_known_values(self):
-        # X in {0, 2} equally: mean 1, var 1, mu3 0.
-        central = raw_to_central([1.0, 2.0, 4.0])
-        assert central[0] == 1.0
-        assert central[1] == pytest.approx(1.0)
-        assert central[2] == pytest.approx(0.0)
-
-
 class TestFitHyperErlang:
     def test_exact_moment_match_from_moments(self):
         fit = fit_hyper_erlang([10.0, 500.0, 60000.0])
         assert np.all(fit.relative_errors < 1e-8)
 
     def test_roundtrip_known_mixture(self):
-        target = HyperExponential([0.3, 0.7], [0.01, 1.0])
+        target = Mixture([0.3, 0.7], [Exponential(r) for r in [0.01, 1.0]])
         moments = [target.moment(k) for k in (1, 2, 3)]
         fit = fit_hyper_erlang(moments)
         assert fit.order == 1
@@ -94,35 +73,7 @@ class TestFitHyperErlang:
         ratio=st.floats(min_value=5.0, max_value=500.0),
     )
     def test_property_recovers_two_branch_mixtures(self, p, r1, ratio):
-        target = HyperExponential([p, 1.0 - p], [r1, r1 * ratio])
+        target = Mixture([p, 1.0 - p], [Exponential(r) for r in [r1, r1 * ratio]])
         moments = [target.moment(k) for k in (1, 2, 3)]
         fit = fit_hyper_erlang(moments, order=1)
         assert np.all(fit.relative_errors < 1e-6)
-
-
-class TestFitTwoStageHyperexp:
-    def test_matches_mean_and_cv(self):
-        d = fit_two_stage_hyperexp(100.0, 3.0)
-        assert d.mean() == pytest.approx(100.0, rel=1e-9)
-        assert d.std() / d.mean() == pytest.approx(3.0, rel=1e-9)
-
-    def test_cv_below_one_rejected(self):
-        with pytest.raises(ValueError, match="cv < 1"):
-            fit_two_stage_hyperexp(10.0, 0.5)
-
-    def test_cv_one_degenerate(self):
-        d = fit_two_stage_hyperexp(10.0, 1.0)
-        assert d.mean() == pytest.approx(10.0, rel=1e-6)
-
-    def test_bad_balance(self):
-        with pytest.raises(ValueError, match="balance"):
-            fit_two_stage_hyperexp(10.0, 2.0, balance=1.0)
-
-    @given(
-        mean=st.floats(min_value=0.1, max_value=1e4),
-        cv=st.floats(min_value=1.05, max_value=20.0),
-    )
-    def test_property_mean_cv(self, mean, cv):
-        d = fit_two_stage_hyperexp(mean, cv)
-        assert d.mean() == pytest.approx(mean, rel=1e-6)
-        assert d.std() / d.mean() == pytest.approx(cv, rel=1e-6)

@@ -6,41 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.stats.percentiles import (
-    interval,
-    interval50,
-    interval90,
-    median,
-    percentile,
-    summary_order_stats,
-)
+from repro.stats.percentiles import interval, interval90
 
 finite_arrays = hnp.arrays(
     float,
     st.integers(min_value=2, max_value=60),
     elements=st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )
-
-
-class TestPercentile:
-    def test_median_of_odd(self):
-        assert median([3, 1, 2]) == 2.0
-
-    def test_median_interpolates(self):
-        assert median([1, 2, 3, 4]) == 2.5
-
-    def test_extremes(self):
-        x = [5, 1, 9]
-        assert percentile(x, 0.0) == 1.0
-        assert percentile(x, 1.0) == 9.0
-
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError):
-            percentile([1, 2], 1.5)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            median([])
 
 
 class TestInterval:
@@ -50,7 +22,7 @@ class TestInterval:
 
     def test_50_interval_known(self):
         x = np.arange(101, dtype=float)
-        assert interval50(x) == pytest.approx(50.0)
+        assert interval(x, 0.5) == pytest.approx(50.0)
 
     def test_constant_sample_zero_interval(self):
         assert interval90(np.full(10, 3.0)) == 0.0
@@ -68,17 +40,3 @@ class TestInterval:
         x = np.concatenate([np.random.default_rng(0).uniform(0, 100, 1000), [1e12]])
         base = np.sort(x)[:-1]
         assert interval90(x) == pytest.approx(interval90(base), rel=0.02)
-
-
-class TestSummary:
-    def test_fields(self):
-        s = summary_order_stats(np.arange(101, dtype=float))
-        assert s.median == pytest.approx(50.0)
-        assert s.interval == pytest.approx(90.0)
-        assert s.n == 101
-        assert s.coverage == 0.9
-        assert s.as_tuple() == (s.median, s.interval)
-
-    def test_custom_coverage(self):
-        s = summary_order_stats(np.arange(101, dtype=float), coverage=0.5)
-        assert s.interval == pytest.approx(50.0)

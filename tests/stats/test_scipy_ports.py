@@ -24,9 +24,10 @@ from repro.stats.distributions import (
     _BRENT_RTOL,
     _BRENT_XTOL,
     Gamma,
+    Exponential,
     HyperErlang,
-    HyperExponential,
     LogNormal,
+    Mixture,
     _brentq,
 )
 
@@ -180,7 +181,7 @@ def _problem(kind, c, lo, hi):
         dist = HyperErlang([0.4, 0.6], 2, [0.5, 0.005])
         q = min(c / (c + 1.0), 1 - 1e-9)
         return (lambda x: float(dist.cdf(x)) - q), 0.0, 1e6
-    dist = HyperExponential([0.7, 0.3], [1.0, 0.01])
+    dist = Mixture([0.7, 0.3], [Exponential(r) for r in [1.0, 0.01]])
     q = min(c / (c + 1.0), 1 - 1e-9)
     return (lambda x: float(dist.cdf(x)) - q), 0.0, 1e5
 

@@ -113,7 +113,7 @@ class TestSchedulerEdges:
     def test_gang_empty_workload(self):
         from repro.scheduler import simulate_gang
 
-        w = Workload.from_jobs([], MachineInfo("m", 8))
+        w = Workload.from_arrays(machine=MachineInfo("m", 8), submit_time=[])
         res = simulate_gang(w)
         assert res.submit.size == 0
         assert res.makespan == 0.0

@@ -5,7 +5,14 @@ import threading
 
 import pytest
 
-from repro.util.atomicio import atomic_symlink, atomic_write_bytes, atomic_write_text
+from repro.util import atomicio
+from repro.util.atomicio import (
+    atomic_symlink,
+    atomic_write_bytes,
+    atomic_write_text,
+    create_run_dir,
+    point_latest,
+)
 
 
 class TestAtomicWrite:
@@ -107,3 +114,30 @@ class TestAtomicSymlink:
         monkeypatch.setattr(os, "replace", real_replace)
         residue = [p for p in os.listdir(str(tmp_path)) if p.endswith(".tmp")]
         assert residue == []
+
+
+class TestRunDir:
+    def test_taken_names_get_the_next_suffix(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run.2").mkdir()
+        run_dir = create_run_dir(str(tmp_path), "run")
+        assert run_dir == os.path.join(str(tmp_path), "run.3")
+        assert os.path.isdir(run_dir)
+
+    def test_mkdir_decides_not_an_exists_check(self, tmp_path, monkeypatch):
+        """A racing writer creates the name between the check and the
+        mkdir; with ``os.path.exists`` blind, the helper still steps on."""
+        (tmp_path / "run").mkdir()
+        monkeypatch.setattr(os.path, "exists", lambda path: False)
+        run_dir = create_run_dir(str(tmp_path), "run")
+        assert os.path.basename(run_dir) == "run.2"
+
+    def test_latest_file_without_symlinks(self, tmp_path, monkeypatch):
+        def no_symlinks(*args, **kwargs):
+            raise OSError("symlinks unsupported")
+
+        monkeypatch.setattr(atomicio, "atomic_symlink", no_symlinks)
+        run_dir = create_run_dir(str(tmp_path), "run")
+        point_latest(run_dir)
+        assert (tmp_path / "LATEST").read_text() == "run\n"
+        assert not (tmp_path / "latest").exists()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.util.tables import format_matrix, format_table
+from repro.util.tables import format_table
 
 
 class TestFormatTable:
@@ -52,18 +52,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         out = format_table(["a", "b"], [])
         assert "a" in out and "b" in out
-
-
-class TestFormatMatrix:
-    def test_labels_present(self):
-        mat = np.array([[1.0, 0.5], [0.5, 1.0]])
-        out = format_matrix(mat, ["r1", "r2"], ["c1", "c2"])
-        assert "r1" in out and "c2" in out
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="does not match"):
-            format_matrix(np.eye(2), ["a"], ["b", "c"])
-
-    def test_non_2d_raises(self):
-        with pytest.raises(ValueError, match="2-D"):
-            format_matrix(np.zeros(3), ["a", "b", "c"], [])

@@ -3,27 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workload import (
-    Workload,
-    filter_jobs,
-    restrict_to_window,
-    split_interactive_batch,
-    split_time_windows,
-)
-
-
-class TestFilterJobs:
-    def test_predicate_applied(self, small_workload):
-        out = filter_jobs(small_workload, lambda w: w.column("used_procs") > 8)
-        assert np.all(out.column("used_procs") > 8)
-
-    def test_bad_mask_shape_rejected(self, small_workload):
-        with pytest.raises(ValueError, match="shape"):
-            filter_jobs(small_workload, lambda w: np.ones(3, dtype=bool))
-
-    def test_renaming(self, small_workload):
-        out = filter_jobs(small_workload, lambda w: w.column("status") == 1, name="done")
-        assert out.name == "done"
+from repro.workload import Workload, split_interactive_batch, split_time_windows
 
 
 class TestInteractiveBatchSplit:
@@ -50,21 +30,6 @@ class TestInteractiveBatchSplit:
             split_interactive_batch(
                 small_workload, interactive_queues=[1], runtime_threshold=60.0
             )
-
-
-class TestWindow:
-    def test_restrict(self, small_machine):
-        w = Workload.from_arrays(
-            machine=small_machine,
-            submit_time=np.arange(10.0),
-            run_time=np.ones(10),
-        )
-        sub = restrict_to_window(w, 2.0, 5.0)
-        assert np.array_equal(sub.column("submit_time"), [2.0, 3.0, 4.0])
-
-    def test_restrict_bad_bounds(self, small_workload):
-        with pytest.raises(ValueError, match="end must exceed"):
-            restrict_to_window(small_workload, 5.0, 5.0)
 
 
 class TestSplitTimeWindows:
@@ -103,7 +68,7 @@ class TestSplitTimeWindows:
         assert len(parts) == 1 and len(parts[0]) == len(small_workload)
 
     def test_empty_workload_rejected(self, small_machine):
-        empty = Workload.from_jobs([], small_machine)
+        empty = Workload.from_arrays(machine=small_machine, submit_time=[])
         with pytest.raises(ValueError, match="empty"):
             split_time_windows(empty, 2)
 

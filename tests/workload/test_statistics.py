@@ -200,7 +200,7 @@ class TestComputeStatistics:
         }
 
     def test_empty_workload_all_nan(self, machine):
-        w = Workload.from_jobs([], machine)
+        w = Workload.from_arrays(machine=machine, submit_time=[])
         s = compute_statistics(w)
         assert math.isnan(s.runtime_median)
         assert math.isnan(s.interarrival_median)

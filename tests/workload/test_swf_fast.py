@@ -10,14 +10,17 @@ the benchmark claim is hollow).
 """
 
 import gzip
+import io
+import time
 
 import numpy as np
 import pytest
 
+from repro.obs.spans import ListSink, Tracer, reset_tracer, set_tracer
+from repro.workload import swf
 from repro.workload.fields import MISSING, SWF_FIELDS
 from repro.workload.swf import (
     _scan_bytes,
-    _scan_fast,
     parse_swf_text,
     read_swf,
     render_swf_text,
@@ -60,6 +63,17 @@ def _assert_same_workload(a, b):
     assert getattr(a, "parse_errors", ()) == getattr(b, "parse_errors", ())
 
 
+def _parse_spans(parse):
+    """Run *parse* under a tracer; return its ``swf.parse`` span records."""
+    sink = ListSink()
+    token = set_tracer(Tracer(sink))
+    try:
+        parse()
+    finally:
+        reset_tracer(token)
+    return [r for r in sink.records if r.get("name") == "swf.parse"]
+
+
 def _assert_equivalent(text, **kwargs):
     got = parse_swf_text(text, **kwargs)
     want = parse_swf_text_reference(text, **kwargs)
@@ -69,7 +83,8 @@ def _assert_equivalent(text, **kwargs):
 
 class TestFastPathEngages:
     def test_clean_text_takes_fast_scan(self):
-        assert _scan_fast(CLEAN) is not None
+        (record,) = _parse_spans(lambda: parse_swf_text(CLEAN))
+        assert record["fast"] is True
 
     def test_clean_bytes_take_bytes_scan(self):
         assert _scan_bytes(CLEAN.encode()) is not None
@@ -77,7 +92,7 @@ class TestFastPathEngages:
     def test_decimals_outside_avg_cpu_still_bulk_parse(self):
         # run_time "200.5" defeats the integer dtype but not the float matrix.
         text = CLEAN.replace("2 60 0 200 8", "2 60 0 200.5 8")
-        assert _scan_fast(text) is not None
+        assert _scan_bytes(text.encode()) is not None
         _assert_equivalent(text)
 
 
@@ -141,7 +156,7 @@ class TestFallbackEquivalence:
 
     def test_mid_file_comment_falls_back(self):
         text = CLEAN.replace("3 90 12", "; a comment mid-file\n3 90 12")
-        assert _scan_fast(text) is None
+        assert _scan_bytes(text.encode()) is None
         _assert_equivalent(text)
 
     @pytest.mark.parametrize("sep", ["\v", "\f", "\x85", " ", " ", "\r"])
@@ -149,12 +164,11 @@ class TestFallbackEquivalence:
         # splitlines treats these as line breaks; loadtxt would treat most
         # of them as field separators, so the fast scan must decline.
         text = f"; MaxProcs: 8\n1 0 5 100 4{sep}2 10 6 90 2\n"
-        assert _scan_fast(text) is None
+        assert _scan_bytes(text.encode()) is None
         _assert_equivalent(text, on_error="quarantine")
 
     def test_exotic_break_in_header_falls_back(self):
         text = "; Note: a b\n1 0 5 100 4 -1 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n"
-        assert _scan_fast(text) is None
         assert _scan_bytes(text.encode()) is None
         _assert_equivalent(text, on_error="quarantine")
 
@@ -164,6 +178,13 @@ class TestFallbackEquivalence:
     def test_odd_numeric_tokens_match(self, token):
         text = f"; MaxProcs: 8\n1 {token} 5 100 4 -1 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n"
         _assert_equivalent(text, on_error="quarantine")
+
+    def test_unencodable_text_takes_reference_scan(self):
+        # A lone surrogate has no UTF-8 form: the text goes straight to
+        # the per-line scan, which reports the line like any bad token.
+        text = CLEAN.replace("33.25", "33.25\ud800")
+        w = _assert_equivalent(text, on_error="quarantine")
+        assert [e.lineno for e in w.parse_errors] == [6]
 
 
 class TestFileIngest:
@@ -183,6 +204,32 @@ class TestFileIngest:
         path = tmp_path / "log.swf.gz"
         path.write_bytes(gzip.compress(CLEAN.encode()))
         _assert_same_workload(read_swf(str(path)), parse_swf_text(CLEAN))
+
+    @pytest.mark.parametrize("text", [CLEAN, MALFORMED], ids=["clean", "malformed"])
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_binary_handle_matches_path(self, tmp_path, text, compress):
+        raw = text.encode()
+        if compress:
+            raw = gzip.compress(raw)
+        path = tmp_path / "log.swf"
+        path.write_bytes(raw)
+        got = read_swf(io.BytesIO(raw), on_error="quarantine")
+        _assert_same_workload(got, read_swf_reference(str(path), on_error="quarantine"))
+
+    def test_parse_span_times_the_scan(self, tmp_path, monkeypatch):
+        """The ``swf.parse`` span encloses the bulk scan of a file."""
+        path = tmp_path / "log.swf"
+        path.write_bytes(CLEAN.encode())
+        scan = swf._scan_bytes
+
+        def slow_scan(raw):
+            time.sleep(0.05)
+            return scan(raw)
+
+        monkeypatch.setattr(swf, "_scan_bytes", slow_scan)
+        (record,) = _parse_spans(lambda: read_swf(str(path)))
+        assert record["fast"] is True
+        assert record["wall_s"] >= 0.05
 
     def test_malformed_file_quarantine(self, tmp_path):
         path = tmp_path / "bad.swf"

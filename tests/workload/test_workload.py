@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.workload import Job, MachineInfo, Workload
+from repro.workload import MachineInfo, Workload
 from repro.workload.fields import FIELD_NAMES, MISSING
 
 
@@ -42,18 +42,6 @@ class TestConstruction:
     def test_from_arrays_needs_a_column(self, small_machine):
         with pytest.raises(ValueError, match="at least one column"):
             Workload.from_arrays(machine=small_machine)
-
-    def test_from_jobs_roundtrip(self, small_machine):
-        jobs = [Job(job_id=1, submit_time=0.0, run_time=10.0, used_procs=4),
-                Job(job_id=2, submit_time=5.0, run_time=20.0, used_procs=8)]
-        w = Workload.from_jobs(jobs, small_machine)
-        back = list(w.to_jobs())
-        assert [j.run_time for j in back] == [10.0, 20.0]
-        assert [j.used_procs for j in back] == [4, 8]
-
-    def test_from_jobs_empty(self, small_machine):
-        w = Workload.from_jobs([], small_machine)
-        assert len(w) == 0
 
     def test_unequal_columns_rejected(self, small_machine):
         cols = {name: np.zeros(3) for name in FIELD_NAMES}
@@ -127,7 +115,7 @@ class TestDerived:
         assert w.duration() == pytest.approx(150.0)
 
     def test_duration_empty(self, small_machine):
-        w = Workload.from_jobs([], small_machine)
+        w = Workload.from_arrays(machine=small_machine, submit_time=[])
         assert w.duration() == 0.0
 
 
@@ -168,22 +156,3 @@ class TestTransforms:
         other = small_workload.with_machine(MachineInfo("big", 1024))
         with pytest.raises(ValueError, match="different sizes"):
             small_workload.concat(other)
-
-
-class TestJob:
-    def test_cpu_work(self):
-        assert Job(run_time=10.0, used_procs=4).cpu_work == 40.0
-
-    def test_cpu_work_missing(self):
-        assert Job(run_time=-1, used_procs=4).cpu_work == -1.0
-
-    def test_end_time(self):
-        j = Job(submit_time=5.0, wait_time=2.0, run_time=3.0)
-        assert j.end_time == 10.0
-
-    def test_end_time_missing_parts(self):
-        assert Job(submit_time=5.0).end_time == 5.0
-
-    def test_as_tuple_order(self):
-        t = Job(job_id=7).as_tuple()
-        assert t[0] == 7 and len(t) == 18
