@@ -20,6 +20,7 @@ from repro.experiments import (
     run_table2,
     run_table3,
 )
+from repro.models.registry import MODEL_NAMES
 
 
 def assert_claims(result):
@@ -97,6 +98,12 @@ class TestFigure3:
     def test_lanl_regime_change_detected(self, result):
         assert result.lanl_year2_spread > 2 * result.lanl_year1_spread
 
+    def test_render_reports_spreads(self, result):
+        text = result.render()
+        assert "Figure 3" in text
+        assert f"SDSC sub-log diameter: {result.sdsc_diameter:.3f}" in text
+        assert f"distance from LANL: {result.lanl_year2_spread:.3f}" in text
+
 
 class TestFigure4:
     @pytest.fixture(scope="class")
@@ -114,6 +121,12 @@ class TestFigure4:
     def test_jann_near_ctc(self, result):
         assert result.nearest_production("Jann") in ("CTC", "KTH")
 
+    def test_render_lists_each_model_neighbourhood(self, result):
+        text = result.render()
+        assert "Figure 4" in text
+        for model in MODEL_NAMES:
+            assert f"{model}: nearest observations: " in text
+
 
 class TestParameterization:
     @pytest.fixture(scope="class")
@@ -126,6 +139,19 @@ class TestParameterization:
     def test_paper_triple_quality(self, result):
         assert result.paper_triple_score.alienation <= 0.10
         assert result.paper_triple_score.average_correlation >= 0.85
+
+    def test_best_has_highest_average_correlation(self, result):
+        assert result.best is result.scores[0]
+        assert result.best.alienation <= 0.15
+        assert result.best.average_correlation == max(
+            s.average_correlation for s in result.scores
+        )
+
+    def test_render_lists_every_subset(self, result):
+        text = result.render()
+        for score in result.scores:
+            assert "{" + ",".join(score.signs) + "}" in text
+        assert "Paper's triple {AL,Pm,Im}" in text
 
 
 class TestLoadAlteration:
@@ -144,6 +170,11 @@ class TestLoadAlteration:
     def test_all_techniques_raise_load(self, result):
         for load in result.technique_loads.values():
             assert load > result.baseline_load
+
+    def test_render_lists_techniques_and_correlations(self, result):
+        text = result.render()
+        for name in [*result.technique_loads, *result.observed_correlations]:
+            assert name in text
 
 
 class TestTable3:

@@ -1,5 +1,9 @@
 """Unit tests for the scheduling policies (direct select() calls)."""
 
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
 from repro.scheduler import EasyBackfillScheduler, FcfsScheduler
 from repro.scheduler.policies import QueuedJob
 
@@ -67,3 +71,68 @@ class TestEasy:
         total = sum(j.size for j in started)
         assert total <= 4
         assert [j.index for j in started] == [1, 2]
+
+
+CLOCK = 10.0
+
+queues = st.lists(
+    st.tuples(st.integers(1, 8), st.integers(1, 100)), min_size=1, max_size=8
+).map(lambda specs: [job(i, size, runtime) for i, (size, runtime) in enumerate(specs)])
+running_jobs = st.lists(
+    st.tuples(st.integers(1, 200).map(lambda dt: CLOCK + dt), st.integers(1, 8)),
+    max_size=4,
+)
+free_procs = st.integers(0, 8)
+
+
+@pytest.mark.parametrize("policy", [FcfsScheduler, EasyBackfillScheduler])
+class TestSelectProperties:
+    """Invariants of one select() call on random queues and machine states."""
+
+    @given(queue=queues, free=free_procs, running=running_jobs)
+    def test_never_oversubscribes(self, policy, queue, free, running):
+        started = policy().select(CLOCK, queue, free, running)
+        assert sum(j.size for j in started) <= free
+
+    @given(queue=queues, free=free_procs, running=running_jobs)
+    def test_starts_queued_jobs_in_queue_order(self, policy, queue, free, running):
+        started = policy().select(CLOCK, queue, free, running)
+        positions = [queue.index(j) for j in started]
+        assert positions == sorted(set(positions))
+
+    @given(queue=queues, free=free_procs, running=running_jobs)
+    def test_head_starts_whenever_it_fits(self, policy, queue, free, running):
+        started = policy().select(CLOCK, queue, free, running)
+        if queue[0].size <= free:
+            assert started[0] is queue[0]
+        else:
+            assert queue[0] not in started
+
+
+class TestEasyProperties:
+    @given(queue=queues, free=free_procs, running=running_jobs)
+    def test_starts_what_fcfs_starts_first(self, queue, free, running):
+        fcfs = FcfsScheduler().select(CLOCK, queue, free, running)
+        easy = EasyBackfillScheduler().select(CLOCK, queue, free, running)
+        assert easy[: len(fcfs)] == fcfs
+
+    @given(queue=queues, free=free_procs, running=running_jobs)
+    def test_backfill_keeps_the_head_reservation(self, queue, free, running):
+        head = queue[0]
+        assume(head.size > free)
+        assume(free + sum(size for _, size in running) >= head.size)
+        # The shadow time: the first completion after which the head fits.
+        avail = free
+        for shadow, size in sorted(running):
+            avail += size
+            if avail >= head.size:
+                break
+        started = EasyBackfillScheduler().select(CLOCK, queue, free, running)
+        assert head not in started
+        at_shadow = (
+            free
+            - sum(j.size for j in started)
+            + sum(size for end, size in running if end <= shadow)
+            + sum(j.size for j in started if CLOCK + j.estimate <= shadow)
+        )
+        assert at_shadow >= head.size

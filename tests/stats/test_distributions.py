@@ -34,6 +34,9 @@ ALL_DISTRIBUTIONS = [
     # Generic Brent ppf over phases four decades apart.
     Mixture([0.5, 0.3, 0.2], [Exponential(r) for r in [2.0, 0.1, 0.001]]),
     HyperErlang([0.4, 0.6], 2, [0.5, 0.005]),
+    # Bounded support with a zero-density gap: the generic ppf crosses a
+    # flat stretch of the CDF between the two components.
+    Mixture([0.3, 0.7], [LogUniform(1.0, 10.0), LogUniform(100.0, 1000.0)]),
     Discrete([1, 2, 4, 8, 16], [0.3, 0.25, 0.2, 0.15, 0.1]),
 ]
 
@@ -93,6 +96,28 @@ class TestDistributionContract:
     def test_ppf_rejects_bad_quantiles(self, dist):
         with pytest.raises(ValueError):
             dist.ppf(1.5)
+
+    def test_pdf_integrates_to_cdf(self, dist):
+        a, b = (float(v) for v in dist.ppf([0.2, 0.8]))
+        if isinstance(dist, Discrete):
+            # pdf is the probability mass at each support point.
+            inside = dist.values[(dist.values > a) & (dist.values <= b)]
+            mass = float(np.sum(dist.pdf(inside)))
+        else:
+            x = np.geomspace(a, b, 20001)
+            mass = float(np.trapezoid(dist.pdf(x), x))
+        assert mass == pytest.approx(float(dist.cdf(b) - dist.cdf(a)), rel=1e-3)
+
+    def test_raw_moments_match_mean_and_var(self, dist):
+        mean = dist.mean()
+        assert dist.moment(1) == pytest.approx(mean, rel=1e-9)
+        assert dist.moment(2) == pytest.approx(dist.var() + mean * mean, rel=1e-9)
+
+    def test_sample_has_requested_length(self, dist):
+        for n in (0, 3):
+            x = dist.sample(n, seed=1)
+            assert x.shape == (n,)
+            assert x.dtype == np.float64
 
 
 class TestExponential:

@@ -27,6 +27,28 @@ class TestInterval:
     def test_constant_sample_zero_interval(self):
         assert interval90(np.full(10, 3.0)) == 0.0
 
+    def test_full_coverage_is_the_range(self):
+        assert interval([4.0, -1.0, 7.5, 2.0], 1.0) == pytest.approx(8.5)
+
+    def test_zero_coverage_is_zero(self):
+        assert interval(np.arange(11, dtype=float), 0.0) == 0.0
+
+    def test_single_value_has_zero_width(self):
+        assert interval90([42.0]) == 0.0
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            interval90([])
+
+    def test_rejects_2d(self):
+        with pytest.raises(ValueError, match="1-D"):
+            interval90(np.ones((3, 3)))
+
+    @pytest.mark.parametrize("coverage", [-0.1, 1.5, float("nan")])
+    def test_rejects_bad_coverage(self, coverage):
+        with pytest.raises(ValueError, match="coverage"):
+            interval(np.arange(10, dtype=float), coverage)
+
     @given(finite_arrays)
     def test_interval_nonnegative_and_monotone(self, x):
         assert 0.0 <= interval(x, 0.5) <= interval(x, 0.9) + 1e-9
