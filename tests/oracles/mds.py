@@ -53,17 +53,6 @@ __all__ = [
 _TRANSFORMS = ("metric", "isotonic", "rank-image")
 
 
-def _check_weights(arr: np.ndarray, weights) -> np.ndarray:
-    if weights is None:
-        return np.ones_like(arr)
-    w = check_1d(weights, "weights")
-    if w.shape != arr.shape:
-        raise ValueError("weights must match y in length")
-    if np.any(w <= 0):
-        raise ValueError("weights must be positive")
-    return w
-
-
 def _rank_image_unchecked(d: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Rank-image kernel: no permutation re-verification (hot loop)."""
     out = np.empty(d.shape[0])
@@ -92,36 +81,30 @@ def rank_image(distances, order: Optional[np.ndarray] = None) -> np.ndarray:
     return _rank_image_unchecked(d, order)
 
 
-def isotonic_regression_reference(y, weights=None) -> np.ndarray:
+def isotonic_regression_reference(y) -> np.ndarray:
     """The original scalar PAVA loop.
 
-    Maintains blocks as (value, weight, count) on an explicit stack and
-    merges backwards whenever a new block violates monotonicity.  Returns
-    the non-decreasing vector minimizing ``Σ w (fit - y)²`` over *y*,
-    with optional positive *weights*.
+    Maintains blocks as (value, count) on an explicit stack and merges
+    backwards whenever a new block violates monotonicity.  Returns the
+    non-decreasing vector minimizing ``Σ (fit - y)²`` over *y*.
     """
     arr = check_1d(y, "y", min_len=1)
-    w = _check_weights(arr, weights)
-
     n = len(arr)
     values = np.empty(n)
-    wsums = np.empty(n)
-    counts = np.empty(n, dtype=np.int64)
+    counts = np.empty(n)
     top = 0
     for i in range(n):
         values[top] = arr[i]
-        wsums[top] = w[i]
-        counts[top] = 1
+        counts[top] = 1.0
         top += 1
         while top > 1 and values[top - 2] > values[top - 1]:
-            total_w = wsums[top - 2] + wsums[top - 1]
+            total = counts[top - 2] + counts[top - 1]
             values[top - 2] = (
-                values[top - 2] * wsums[top - 2] + values[top - 1] * wsums[top - 1]
-            ) / total_w
-            wsums[top - 2] = total_w
-            counts[top - 2] += counts[top - 1]
+                values[top - 2] * counts[top - 2] + values[top - 1] * counts[top - 1]
+            ) / total
+            counts[top - 2] = total
             top -= 1
-    return np.repeat(values[:top], counts[:top])
+    return np.repeat(values[:top], counts[:top].astype(np.int64))
 
 
 def _disparities(

@@ -118,6 +118,9 @@ class TestEasyProperties:
 
     @given(queue=queues, free=free_procs, running=running_jobs)
     def test_backfill_keeps_the_head_reservation(self, queue, free, running):
+        # Only calls that start no head job: when one starts, select()
+        # walks the running jobs' completions before the new job's, so the
+        # shadow can come out late (test_started_head_job_sets_the_shadow).
         head = queue[0]
         assume(head.size > free)
         assume(free + sum(size for _, size in running) >= head.size)
@@ -136,3 +139,18 @@ class TestEasyProperties:
             + sum(j.size for j in started if CLOCK + j.estimate <= shadow)
         )
         assert at_shadow >= head.size
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the shadow walk takes running jobs' completions before those "
+        "of the jobs this call started",
+    )
+    def test_started_head_job_sets_the_shadow(self):
+        # Job 0 starts and ends at t=10, which frees the 6 processors the
+        # blocked job 1 needs: its shadow is 10.  Job 2 runs to t=50 on 4
+        # of them, so backfilling it would delay job 1 by 40 s.
+        queue = [job(0, 2, 10), job(1, 6, 30), job(2, 4, 50)]
+        started = EasyBackfillScheduler().select(
+            0.0, queue, free=6, running=[(100.0, 4)]
+        )
+        assert [j.index for j in started] == [0]
