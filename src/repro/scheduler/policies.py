@@ -114,12 +114,13 @@ class EasyBackfillScheduler(Scheduler):
             return started
 
         head = queue[0]
-        # Shadow time: walk future completions until the head fits.
+        # Shadow time: walk future completions, of the running jobs and of
+        # the jobs just started alike, in time order until the head fits.
         shadow = None
         extra = 0
         avail = free
-        for end, size in sorted(running) + sorted(
-            (clock + j.estimate, j.size) for j in started
+        for end, size in sorted(
+            list(running) + [(clock + j.estimate, j.size) for j in started]
         ):
             avail += size
             if avail >= head.size:

@@ -49,8 +49,8 @@ from repro.runtime.fingerprint import code_fingerprint
 from repro.service.analyses import parse_analysis_request, spec_cache_key
 from repro.service.errors import ServiceError
 from repro.service.jobs import JobRunner
-from repro.service.store import JobStore
-from repro.workload.swf import read_swf
+from repro.service.store import JobStore, decode_upload
+from repro.workload.swf import scan_swf
 
 __all__ = ["DEFAULT_MAX_BODY_BYTES", "ServiceApp", "make_server"]
 
@@ -151,22 +151,21 @@ class ServiceApp:
 
         ``doc`` is the request document (spec + input reference); a raw
         SWF body arrives as *upload_body* and becomes the input.  The
-        upload is spooled content-addressed and parse-validated *now*,
-        so a malformed log fails the POST with a structured 4xx instead
-        of a dead job later.
+        spec is validated first, then the upload is scanned *now* and
+        spooled, so a malformed log fails the POST with a structured 4xx
+        instead of a dead job later, and leaves nothing on disk.
         """
         if self.draining:
             raise ServiceError("shutting_down", "server is draining; try again later")
-        upload_digest = None
+        digest = raw = None
         if upload_body is not None:
-            if not upload_body.strip():
+            # isspace() is strip()'s test without a copy of the body.
+            if not upload_body or upload_body.isspace():
                 raise ServiceError("bad_swf", "empty SWF upload")
-            upload_digest = self.store.spool_upload(upload_body)
-            try:
-                read_swf(self.store.upload_path(upload_digest))
-            except ValueError as exc:
-                raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
-        spec = parse_analysis_request(doc, upload_digest=upload_digest)
+            digest, raw = decode_upload(upload_body)
+        spec = parse_analysis_request(doc, upload_digest=digest)
+        if digest is not None:
+            self._spool_upload(digest, raw)
         key = spec_cache_key(spec, self.cache)
         count = self.store.poison_count(key)
         if count >= self.runner.poison_threshold:
@@ -213,6 +212,21 @@ class ServiceApp:
                 "result": f"/v1/analyses/{job_id}/result",
             },
         }
+
+    def _spool_upload(self, digest: str, raw: bytes) -> None:
+        """Scan one upload and spool its headers and columns for the worker.
+
+        A digest already spooled scanned cleanly before, so it is not
+        scanned again.  Runs outside the submit lock: the scan and the
+        write are the slowest steps of a submit.
+        """
+        if self.store.has_upload(digest):
+            return
+        try:
+            headers, columns, _ = scan_swf(raw)
+        except ValueError as exc:
+            raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
+        self.store.spool_upload(digest, headers, columns)
 
     def _job_or_404(self, job_id: str) -> Dict[str, Any]:
         record = self.store.get(job_id)

@@ -11,7 +11,10 @@ drives it with :mod:`urllib` exactly the way a client would:
    did not), and — via ``<state-dir>/trace.jsonl`` — that the hit
    started no worker: its ``job:<id>`` span has no worker-side
    ``task:service.*`` child, while the first job's (the miss) has one,
-4. check the structured 4xx contract on a malformed upload,
+   and that the miss's worker loaded the upload the submit had scanned:
+   no ``swf.parse`` span anywhere under its job span,
+4. check the structured 4xx contract on a malformed upload, and that
+   the rejected upload added no file to ``<state-dir>/uploads/``,
 5. scrape ``/metrics`` and ``/healthz``.
 
 Exits nonzero on the first broken invariant; ``make service-smoke``
@@ -36,6 +39,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.archive.synthesize import synthesize_workload
 from repro.obs import TRACE_NAME, read_trace
 from repro.service.app import ServiceApp, make_server
+from repro.service.store import UPLOADS_DIR_NAME
 from repro.workload.swf import render_swf_text
 
 __all__ = ["main", "run_smoke"]
@@ -81,27 +85,42 @@ def _metric(text: str, name: str) -> float:
     return 0.0
 
 
-def _worker_spans(trace_path: str, job_id: str, *, timeout_s: float) -> Optional[List[str]]:
-    """Names of the worker-side ``task:service.*`` spans under a job's span.
+def _job_subtree(
+    trace_path: str, job_id: str, *, timeout_s: float
+) -> Optional[List[Tuple[int, str]]]:
+    """``(depth, name)`` of every span under a job's ``job:<id>`` span.
 
-    ``None`` if the ``job:<id>`` span never reaches the trace: the
-    supervisor closes it just after journaling the terminal state, so a
-    poll that saw ``done`` may read the trace a moment early.
+    Depth 1 is a direct child (the worker-side ``task:service.*`` span
+    of an attempt that ran in a worker).  ``None`` if the job span never
+    reaches the trace: the supervisor closes it just after journaling
+    the terminal state, so a poll that saw ``done`` may read the trace
+    a moment early.
     """
     deadline = time.monotonic() + timeout_s
     while True:
         spans = read_trace(trace_path).spans
         job = next((s for s in spans if s.get("name") == f"job:{job_id}"), None)
         if job is not None:
-            return [
-                s["name"]
-                for s in spans
-                if s.get("parent_id") == job["span_id"]
-                and str(s.get("name")).startswith("task:service.")
-            ]
+            children: Dict[Any, List[Dict[str, Any]]] = {}
+            for s in spans:
+                children.setdefault(s.get("parent_id"), []).append(s)
+            subtree: List[Tuple[int, str]] = []
+            frontier = [(1, child) for child in children.get(job["span_id"], [])]
+            while frontier:
+                depth, s = frontier.pop()
+                subtree.append((depth, str(s.get("name"))))
+                frontier += [(depth + 1, c) for c in children.get(s["span_id"], [])]
+            return subtree
         if time.monotonic() > deadline:
             return None
         time.sleep(_POLL_INTERVAL_S)
+
+
+def _worker_spans(subtree: Optional[List[Tuple[int, str]]]) -> Optional[List[str]]:
+    """The worker-side ``task:service.*`` spans directly under a job span."""
+    if subtree is None:
+        return None
+    return [name for depth, name in subtree if depth == 1 and name.startswith("task:service.")]
 
 
 def run_smoke(base: str, state_dir: str, *, timeout_s: float = 120.0) -> List[str]:
@@ -171,15 +190,23 @@ def run_smoke(base: str, state_dir: str, *, timeout_s: float = 120.0) -> List[st
         "compute counter unchanged (no recompute)",
     )
     trace_path = os.path.join(state_dir, TRACE_NAME)
-    miss = _worker_spans(trace_path, submit["job_id"], timeout_s=timeout_s)
+    miss_tree = _job_subtree(trace_path, submit["job_id"], timeout_s=timeout_s)
+    miss = _worker_spans(miss_tree)
     check(
         miss is not None and len(miss) == 1,
         f"the miss computed in a worker (task:service.* spans under its job: {miss})",
     )
-    hit = _worker_spans(trace_path, job2["id"], timeout_s=timeout_s)
+    parses = None if miss_tree is None else [n for _, n in miss_tree if n == "swf.parse"]
+    check(
+        parses == [],
+        f"the miss's worker loaded the submit's scan (swf.parse spans under its job: {parses})",
+    )
+    hit = _worker_spans(_job_subtree(trace_path, job2["id"], timeout_s=timeout_s))
     check(hit == [], f"the hit started no worker (task:service.* spans under its job: {hit})")
 
     # 4. structured errors
+    uploads_dir = os.path.join(state_dir, UPLOADS_DIR_NAME)
+    spooled = set(os.listdir(uploads_dir))
     status, body, _ = _request(
         f"{base}/v1/analyses?kind=coplot",
         b"this is not an SWF log\nnot even close\n",
@@ -190,6 +217,8 @@ def run_smoke(base: str, state_dir: str, *, timeout_s: float = 120.0) -> List[st
         status == 400 and err.get("code") == "bad_swf",
         f"malformed SWF -> 400 bad_swf (got {status} {err.get('code')})",
     )
+    added = sorted(set(os.listdir(uploads_dir)) - spooled)
+    check(added == [], f"the malformed upload added no file to uploads/ (added: {added})")
 
     # 5. health, readiness + metrics shape
     status, body, _ = _request(f"{base}/healthz")

@@ -17,9 +17,13 @@ last-wins like job records, so quarantine decisions survive restarts
 and a pardon (count reset to 0) is just another append.
 
 Uploads are spooled content-addressed into ``<state-dir>/uploads/`` as
-``<sha256>.swf`` (decompressed bytes), which both deduplicates repeated
-uploads of the same log and lets a re-enqueued job find its input after
-a crash.
+``<sha256>.npz``, keyed by the SHA-256 of the decompressed bytes: the
+submit's one SWF scan (:func:`repro.workload.swf.scan_swf`) stored as
+its header block and columns, which the worker loads instead of parsing
+the log again.  Only a log that scanned cleanly is ever spooled, so a
+rejected upload leaves nothing behind; the content address deduplicates
+repeated uploads of the same log and lets a re-enqueued job find its
+input after a crash.
 
 The store is thread-safe with a two-lock discipline: ``_lock`` guards
 the in-memory map, its index of in-flight jobs by cache key (the
@@ -43,10 +47,14 @@ import json
 import os
 import threading
 import time
-from typing import Any, Dict, List, Optional, Set
+import zlib
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
+import numpy as np
+
+from repro.service.errors import ServiceError
 from repro.util import appendlog
-from repro.util.atomicio import atomic_write_bytes
+from repro.util.atomicio import atomic_open
 
 __all__ = [
     "JOBS_JOURNAL_NAME",
@@ -54,6 +62,8 @@ __all__ = [
     "JobStore",
     "TERMINAL_STATES",
     "UPLOADS_DIR_NAME",
+    "decode_upload",
+    "load_upload",
 ]
 
 #: Journal file name inside the service state directory.
@@ -61,6 +71,10 @@ JOBS_JOURNAL_NAME = "jobs.jsonl"
 
 #: Upload spool directory name inside the service state directory.
 UPLOADS_DIR_NAME = "uploads"
+
+#: The spool member holding an upload's SWF header block, as JSON text;
+#: every other member is one SWF column.
+_HEADERS_MEMBER = "headers"
 
 #: Job lifecycle states.
 JOB_STATES = ("queued", "running", "done", "error", "cancelled", "poisoned")
@@ -253,28 +267,63 @@ class JobStore:
 
     # -- uploads -------------------------------------------------------------
 
-    def spool_upload(self, body: bytes) -> str:
-        """Store one SWF upload content-addressed; returns its digest.
+    def has_upload(self, digest: str) -> bool:
+        """Whether *digest*'s upload is spooled (so it scanned cleanly)."""
+        return os.path.exists(self.upload_path(digest))
 
-        Gzip bodies (detected by magic, like :func:`repro.workload.swf.read_swf`)
-        are decompressed first so a plain and a gzipped upload of the
-        same log share a digest — and therefore a cache key.
+    def spool_upload(
+        self, digest: str, headers: Mapping[str, str], columns: Mapping[str, np.ndarray]
+    ) -> None:
+        """Spool one upload's scan as ``<digest>.npz``, atomically.
+
+        The archive is uncompressed and streamed member by member into a
+        temporary file beside the target, so no in-memory copy of it is
+        ever built.
         """
-        if body[:2] == b"\x1f\x8b":
-            try:
-                body = gzip.decompress(body)
-            except OSError as exc:
-                from repro.service.errors import ServiceError
-
-                raise ServiceError("bad_swf", f"undecodable gzip body: {exc}") from exc
-        digest = hashlib.sha256(body).hexdigest()
-        path = self.upload_path(digest)
-        if not os.path.exists(path):
-            atomic_write_bytes(path, body)
-        return digest
+        with atomic_open(self.upload_path(digest)) as fh:
+            np.savez(
+                fh,
+                allow_pickle=False,
+                **{_HEADERS_MEMBER: np.array(json.dumps(dict(headers)))},
+                **columns,
+            )
 
     def upload_path(self, digest: str) -> str:
-        return os.path.join(self.uploads_dir, f"{digest}.swf")
+        return _spool_path(self.uploads_dir, digest)
+
+
+def decode_upload(body: bytes) -> Tuple[str, bytes]:
+    """One SWF upload body's content address and decompressed bytes.
+
+    Gzip bodies (detected by magic, like :func:`repro.workload.swf.read_swf`)
+    are decompressed first so a plain and a gzipped upload of the same
+    log share a digest — and therefore a cache key.  A body that is not
+    a whole gzip stream raises :class:`ServiceError` ``bad_swf``.
+    """
+    if body[:2] == b"\x1f\x8b":
+        try:
+            body = gzip.decompress(body)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ServiceError("bad_swf", f"undecodable gzip body: {exc}") from exc
+    return hashlib.sha256(body).hexdigest(), body
+
+
+def load_upload(
+    uploads_dir: str, digest: str
+) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarray]]]:
+    """The headers and columns spooled for *digest*; ``None`` if not spooled."""
+    try:
+        archive = np.load(_spool_path(uploads_dir, digest), allow_pickle=False)
+    except FileNotFoundError:
+        return None
+    with archive:
+        headers = json.loads(str(archive[_HEADERS_MEMBER]))
+        columns = {name: archive[name] for name in archive.files if name != _HEADERS_MEMBER}
+    return headers, columns
+
+
+def _spool_path(uploads_dir: str, digest: str) -> str:
+    return os.path.join(uploads_dir, f"{digest}.npz")
 
 
 def _in_flight_key(record: Optional[Dict[str, Any]]) -> Optional[str]:

@@ -294,18 +294,19 @@ class Exponential(Distribution):
 
 
 class LogUniform(Distribution):
-    """Distribution whose ``log_base`` is uniform on ``[log(lo), log(hi)]``.
+    """Distribution whose logarithm is uniform on ``[log(lo), log(hi)]``.
 
-    This is the building block of Downey's model: the observed cumulative
+    The base of the logarithm does not matter: a log in any base is a
+    fixed multiple of the natural one, so the law is the same.  This is
+    the building block of Downey's model: the observed cumulative
     distribution of total service time is approximately linear in log space.
     """
 
-    def __init__(self, lo: float, hi: float, base: float = 2.0):
+    def __init__(self, lo: float, hi: float):
         self.lo = check_positive(lo, "lo")
         self.hi = check_positive(hi, "hi")
         if not hi > lo:
             raise ValueError(f"hi must exceed lo, got [{lo}, {hi}]")
-        self.base = check_positive(base, "base")
         self._log_lo = math.log(lo)
         self._log_hi = math.log(hi)
 

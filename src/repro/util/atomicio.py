@@ -12,12 +12,14 @@ sanctioned implementation.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import tempfile
-from typing import Union
+from typing import IO, Iterator, Optional, Union
 
 __all__ = [
+    "atomic_open",
     "atomic_symlink",
     "atomic_write_bytes",
     "atomic_write_text",
@@ -26,52 +28,53 @@ __all__ = [
 ]
 
 
+@contextlib.contextmanager
+def atomic_open(
+    path: Union[str, os.PathLike], mode: str = "wb", *, encoding: Optional[str] = None
+) -> Iterator[IO]:
+    """A file handle whose content lands at *path* atomically on success.
+
+    The handle writes a temporary file in *path*'s directory (so the
+    replace never crosses a filesystem boundary); leaving the ``with``
+    block normally ``os.replace``-s it into place, and an exception
+    removes it.  Readers either see the old content or the complete new
+    content, never a torn intermediate state, and a writer can stream
+    without holding the whole content in memory.
+    """
+    target = os.fspath(path)
+    directory = os.path.dirname(target) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode, encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def atomic_write_text(
     path: Union[str, os.PathLike],
     text: str,
     *,
     encoding: str = "utf-8",
 ) -> None:
-    """Write *text* to *path* atomically (tempfile + ``os.replace``).
-
-    Readers either see the old content or the complete new content,
-    never a torn intermediate state.  The temporary file lives next to
-    the target so the replace never crosses a filesystem boundary.
-    """
-    target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding=encoding) as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Write *text* to *path* atomically (:func:`atomic_open`)."""
+    with atomic_open(path, "w", encoding=encoding) as fh:
+        fh.write(text)
 
 
 def atomic_write_bytes(path: Union[str, os.PathLike], data: bytes) -> None:
-    """Write *data* to *path* atomically (tempfile + ``os.replace``).
+    """Write *data* to *path* atomically (:func:`atomic_open`).
 
     The binary twin of :func:`atomic_write_text`, for payloads that are
-    already encoded — SVG documents, gzip uploads, serialized results.
+    already encoded — SVG documents, serialized results.
     """
-    target = os.fspath(path)
-    directory = os.path.dirname(target) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    with atomic_open(path) as fh:
+        fh.write(data)
 
 
 #: Per-process uniquifier for temporary symlink names; combined with the

@@ -34,6 +34,13 @@ bit for bit.  NumPy's tokenizer accepts a strict subset of
 Python ``float`` syntax, so the fallback is the only direction the two
 paths can disagree in.  Wrappers that take the per-line scan for every
 input are the equivalence oracles in ``tests/oracles/swf.py``.
+
+:func:`scan_swf` is the one entry to both paths: it returns the header
+block and the raw columns, and :func:`_build_workload` turns those into
+a :class:`~repro.workload.workload.Workload`.  :func:`read_swf` does both
+at once; the service scans an upload once at submit, spools the scan's
+headers and columns, and its worker makes the same ``_build_workload``
+call on them, so an upload is never parsed twice.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, Dict, List, Optional, TextIO, Tuple, Union
+from typing import BinaryIO, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +60,7 @@ from repro.workload.workload import MachineInfo, Workload
 __all__ = [
     "SwfParseError",
     "read_swf",
+    "scan_swf",
     "write_swf",
     "parse_swf_text",
     "render_swf_text",
@@ -166,6 +174,10 @@ def _columns_from_record(rec: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
             col = col.astype(np.float64) if f.dtype == "float" else np.ascontiguousarray(col)
             if col.size and max(-col.min(), col.max()) >= _EXACT_FLOAT_LIMIT:
                 return None
+        else:
+            # The float-parsed field is copied out too, so no column keeps
+            # the whole record array alive once the scan returns.
+            col = np.ascontiguousarray(col)
         columns[f.name] = col
     return columns
 
@@ -264,23 +276,30 @@ def _scan_bytes(raw: bytes) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarr
 def _build_workload(
     headers: Dict[str, str],
     columns: Dict[str, np.ndarray],
-    errors: List[SwfParseError],
-    name: Optional[str],
-    machine: Optional[MachineInfo],
-    on_error: str,
+    *,
+    name: Optional[str] = None,
+    machine: Optional[MachineInfo] = None,
+    errors: Sequence[SwfParseError] = (),
+    on_error: str = "raise",
 ) -> Workload:
+    """The :class:`Workload` of one :func:`scan_swf` result.
+
+    Without *machine*, the header's processor count (or else the largest
+    finite observed job size) and ``Computer``/``Note`` lines describe
+    the machine; a header-less log takes its machine name from *name*.
+    """
     if machine is None:
         procs = None
         for key in _HEADER_PROCS:
             if key in headers:
                 try:
                     procs = int(float(headers[key]))
-                except ValueError:
+                except (ValueError, OverflowError):  # not a number, or infinite
                     continue
                 break
         if procs is None:
             observed = columns["used_procs"]
-            positive = observed[observed > 0]
+            positive = observed[(observed > 0) & np.isfinite(observed)]
             procs = int(positive.max()) if positive.size else 1
         machine = MachineInfo(
             name=headers.get("computer", name or "swf"),
@@ -295,19 +314,22 @@ def _build_workload(
     return workload
 
 
-def _parse(
+def scan_swf(
     raw: Optional[bytes],
-    text: Optional[str],
-    name: Optional[str],
-    machine: Optional[MachineInfo],
-    on_error: str,
-) -> Workload:
-    """The one SWF parse: the bulk byte scan, else the reference scan.
+    text: Optional[str] = None,
+    *,
+    on_error: str = "raise",
+) -> Tuple[Dict[str, str], Dict[str, np.ndarray], List[SwfParseError]]:
+    """The one SWF scan: headers, columns and parse errors of a whole log.
 
-    *raw* is the whole decompressed content; *text* is its decoded form
-    when the caller already holds it.  A string UTF-8 cannot encode (a
-    lone surrogate) arrives as ``raw=None`` and goes straight to the
-    reference scan.
+    The bulk byte scan, else the per-line reference scan, inside one
+    ``swf.parse`` span.  *raw* is the whole decompressed content; *text*
+    is its decoded form when the caller already holds it.  A string
+    UTF-8 cannot encode (a lone surrogate) arrives as ``raw=None`` and
+    goes straight to the reference scan.  Header keys are lowercased,
+    and every column holds one SWF field as the scan parsed it.  Under
+    ``on_error="raise"`` a malformed line (or bytes that are not UTF-8)
+    raises ``ValueError``, naming the line when it is a malformed one.
     """
     if on_error not in _ON_ERROR_POLICIES:
         raise ValueError(
@@ -327,7 +349,21 @@ def _parse(
             bad_lines=len(errors),
             fast=fast is not None,
         )
-    return _build_workload(headers, columns, errors, name, machine, on_error)
+    return headers, columns, errors
+
+
+def _parse(
+    raw: Optional[bytes],
+    text: Optional[str],
+    name: Optional[str],
+    machine: Optional[MachineInfo],
+    on_error: str,
+) -> Workload:
+    """The one SWF parse: :func:`scan_swf`, then :func:`_build_workload`."""
+    headers, columns, errors = scan_swf(raw, text, on_error=on_error)
+    return _build_workload(
+        headers, columns, name=name, machine=machine, errors=errors, on_error=on_error
+    )
 
 
 def parse_swf_text(

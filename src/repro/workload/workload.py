@@ -166,9 +166,16 @@ class Workload:
         return Workload(columns, self.machine, name if name is not None else self.name)
 
     def sorted_by_submit(self) -> "Workload":
-        """Jobs in nondecreasing submit-time order (stable)."""
-        order = np.argsort(self._columns["submit_time"], kind="mergesort")
-        return self.filter(order)
+        """Jobs in nondecreasing submit-time order (stable).
+
+        A workload already in that order is returned as it is: the
+        stable sort would be the identity permutation, and skipping it
+        saves copying every column.
+        """
+        submit = self._columns["submit_time"]
+        if np.all(submit[1:] >= submit[:-1]):
+            return self
+        return self.filter(np.argsort(submit, kind="mergesort"))
 
     def with_name(self, name: str) -> "Workload":
         """Same data under a different display name."""

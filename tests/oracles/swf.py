@@ -39,7 +39,9 @@ def parse_swf_text_reference(
             f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
         )
     headers, columns, errors = _scan_reference(text, on_error)
-    return _build_workload(headers, columns, errors, name, machine, on_error)
+    return _build_workload(
+        headers, columns, name=name, machine=machine, errors=errors, on_error=on_error
+    )
 
 
 def read_swf_reference(

@@ -118,15 +118,20 @@ class TestEasyProperties:
 
     @given(queue=queues, free=free_procs, running=running_jobs)
     def test_backfill_keeps_the_head_reservation(self, queue, free, running):
-        # Only calls that start no head job: when one starts, select()
-        # walks the running jobs' completions before the new job's, so the
-        # shadow can come out late (test_started_head_job_sets_the_shadow).
-        head = queue[0]
-        assume(head.size > free)
-        assume(free + sum(size for _, size in running) >= head.size)
+        # The head jobs that fit start first; the first job left waiting
+        # is the one whose reservation every backfill must keep.
+        waiting = FcfsScheduler().select(CLOCK, queue, free, running)
+        blocked = len(waiting)
+        assume(blocked < len(queue))
+        head = queue[blocked]
+        free_after = free - sum(j.size for j in waiting)
+        completions = sorted(
+            list(running) + [(CLOCK + j.estimate, j.size) for j in waiting]
+        )
+        assume(free_after + sum(size for _, size in completions) >= head.size)
         # The shadow time: the first completion after which the head fits.
-        avail = free
-        for shadow, size in sorted(running):
+        avail = free_after
+        for shadow, size in completions:
             avail += size
             if avail >= head.size:
                 break
@@ -140,11 +145,6 @@ class TestEasyProperties:
         )
         assert at_shadow >= head.size
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the shadow walk takes running jobs' completions before those "
-        "of the jobs this call started",
-    )
     def test_started_head_job_sets_the_shadow(self):
         # Job 0 starts and ends at t=10, which frees the 6 processors the
         # blocked job 1 needs: its shadow is 10.  Job 2 runs to t=50 on 4

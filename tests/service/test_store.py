@@ -1,15 +1,18 @@
-"""Journal-backed job store: durability, replay, upload spooling."""
+"""Journal-backed job store: durability, replay, the upload spool."""
 
 import gzip
+import hashlib
 import json
 import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.service.errors import ServiceError
-from repro.service.store import JOBS_JOURNAL_NAME, JobStore
+from repro.service.store import JOBS_JOURNAL_NAME, JobStore, decode_upload, load_upload
+from repro.workload.swf import scan_swf
 
 
 def _scan_in_flight(store, key):
@@ -214,21 +217,56 @@ class TestJournal:
 
 
 class TestUploads:
-    def test_plain_and_gzip_share_a_digest(self, tmp_path):
-        store = JobStore(str(tmp_path))
-        body = b"; a log\n1 0 0 10 4 -1 -1 4 10 -1 1 1 1 1 1 -1 -1 -1\n"
-        assert store.spool_upload(body) == store.spool_upload(gzip.compress(body))
+    LOG = b"; Computer: Box\n; MaxProcs: 8\n1 0 0 10 4 -1 -1 4 10 -1 1 1 1 1 1 -1 -1 -1\n"
 
-    def test_spooled_bytes_are_decompressed(self, tmp_path):
-        store = JobStore(str(tmp_path))
-        body = b"payload bytes\n"
-        digest = store.spool_upload(gzip.compress(body))
-        with open(store.upload_path(digest), "rb") as fh:
-            assert fh.read() == body
+    def test_plain_and_gzip_share_a_digest(self):
+        assert decode_upload(self.LOG)[0] == decode_upload(gzip.compress(self.LOG))[0]
 
-    def test_bad_gzip_is_a_service_error(self, tmp_path):
-        store = JobStore(str(tmp_path))
+    def test_gzip_body_decodes_to_its_log(self):
+        digest, raw = decode_upload(gzip.compress(self.LOG))
+        assert raw == self.LOG
+        assert digest == hashlib.sha256(self.LOG).hexdigest()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"\x1f\x8bthis is not a gzip stream",  # bad header: OSError
+            gzip.compress(LOG)[:-4],  # truncated stream: EOFError
+            gzip.compress(LOG * 50)[:20] + b"\xff" * 40,  # bad deflate data: zlib.error
+        ],
+        ids=["header", "truncated", "deflate"],
+    )
+    def test_bad_gzip_is_a_service_error(self, body):
         with pytest.raises(ServiceError) as err:
-            store.spool_upload(b"\x1f\x8bthis is not a gzip stream")
+            decode_upload(body)
         assert err.value.code == "bad_swf"
         assert err.value.status == 400
+
+    def test_spool_round_trips_headers_and_columns(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        digest, raw = decode_upload(self.LOG)
+        headers, columns, _ = scan_swf(raw)
+        assert not store.has_upload(digest)
+        store.spool_upload(digest, headers, columns)
+        assert store.has_upload(digest)
+        assert os.listdir(store.uploads_dir) == [f"{digest}.npz"]
+        loaded_headers, loaded = load_upload(store.uploads_dir, digest)
+        assert loaded_headers == headers == {"computer": "Box", "maxprocs": "8"}
+        assert sorted(loaded) == sorted(columns)
+        for name, col in columns.items():
+            assert loaded[name].dtype == col.dtype
+            assert loaded[name].tobytes() == col.tobytes()
+
+    def test_unspooled_digest_loads_none(self, tmp_path):
+        assert load_upload(str(tmp_path), "0" * 64) is None
+
+    def test_failed_spool_write_leaves_nothing(self, tmp_path):
+        store = JobStore(str(tmp_path))
+        digest, raw = decode_upload(self.LOG)
+        headers, columns, _ = scan_swf(raw)
+        # An object column cannot be written without pickle: the write
+        # fails after the archive's first members are on disk.
+        columns["think_time"] = np.array([object()], dtype=object)
+        with pytest.raises(ValueError):
+            store.spool_upload(digest, headers, columns)
+        assert os.listdir(store.uploads_dir) == []

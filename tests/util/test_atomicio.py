@@ -7,6 +7,7 @@ import pytest
 
 from repro.util import atomicio
 from repro.util.atomicio import (
+    atomic_open,
     atomic_symlink,
     atomic_write_bytes,
     atomic_write_text,
@@ -31,6 +32,24 @@ class TestAtomicWrite:
         atomic_write_bytes(str(tmp_path / "a"), b"x")
         atomic_write_text(str(tmp_path / "b"), "y")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
+    def test_streamed_writes_land_whole(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        with atomic_open(path) as fh:
+            for chunk in (b"one ", b"two ", b"three"):
+                fh.write(chunk)
+            assert not path.exists()  # nothing visible until the block ends
+        assert path.read_bytes() == b"one two three"
+
+    def test_a_failed_stream_keeps_the_old_file_and_no_temp(self, tmp_path):
+        path = tmp_path / "blob.bin"
+        atomic_write_bytes(str(path), b"old")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write(b"half of the new")
+                raise RuntimeError("writer died")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
 
 
 class TestAtomicSymlink:

@@ -138,6 +138,30 @@ class TestTransforms:
         assert np.array_equal(s.column("submit_time"), [1.0, 3.0, 5.0])
         assert np.array_equal(s.column("run_time"), [2.0, 3.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "submit, in_order",
+        [
+            ([1.0, 1.0, 3.0, 5.0], True),
+            ([0.0], True),
+            ([], True),
+            ([-0.0, 0.0, -0.0], True),
+            ([2.0, 1.0, 1.0, 3.0], False),
+            ([1.0, np.nan, 2.0], False),
+        ],
+        ids=["ties", "one", "empty", "signed-zeros", "unordered", "nan"],
+    )
+    def test_sorted_by_submit_equals_the_stable_sort(self, small_machine, submit, in_order):
+        w = Workload.from_arrays(
+            machine=small_machine,
+            submit_time=np.array(submit, dtype=float),
+            run_time=np.arange(len(submit), dtype=float),
+        )
+        s = w.sorted_by_submit()
+        order = np.argsort(w.column("submit_time"), kind="mergesort")
+        for name in ("submit_time", "run_time", "job_id"):
+            assert s.column(name).tobytes() == w.column(name)[order].tobytes()
+        assert (s is w) is in_order  # an ordered log is not copied
+
     def test_with_name(self, small_workload):
         renamed = small_workload.with_name("other")
         assert renamed.name == "other"
