@@ -27,7 +27,6 @@ rendered CSV and SVG artifacts.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -47,7 +46,6 @@ from repro.selfsim.series import SERIES_ATTRIBUTES, workload_series
 from repro.service.errors import ServiceError
 from repro.service.store import load_upload
 from repro.workload.statistics import compute_statistics
-from repro.workload.swf import _build_workload, read_swf
 from repro.workload.variables import MODEL_COMPARABLE_SIGNS, VARIABLES, observation_matrix
 from repro.workload.workload import Workload
 
@@ -244,34 +242,13 @@ def _json_safe(value: Any) -> Any:
 def _load_workload(spec: AnalysisSpec, uploads_dir: str) -> Workload:
     source = spec.input
     if "upload" in source:
-        return _load_upload(source["upload"], spec.params.get("label", "upload"), uploads_dir)
+        return load_upload(uploads_dir, source["upload"], name=spec.params.get("label", "upload"))
     if "workload" in source:
         return synthesize_workload(
             source["workload"], n_jobs=source["n_jobs"], seed=source["seed"]
         )
     model = create_model(source["model"])
     return model.generate(source["n_jobs"], seed=source["seed"])
-
-
-def _load_upload(digest: str, label: str, uploads_dir: str) -> Workload:
-    """An uploaded log as ``read_swf(<log>, name=label)`` returns it.
-
-    The submit spooled the log's scan, so this only rebuilds the
-    workload from it, with the call ``read_swf`` ends in.  A spool
-    holding the log itself (``<digest>.swf``: an in-process caller's, or
-    one spooled before uploads were scanned at submit) is parsed here.
-    """
-    spooled = load_upload(uploads_dir, digest)
-    if spooled is not None:
-        headers, columns = spooled
-        return _build_workload(headers, columns, name=label)
-    path = os.path.join(uploads_dir, f"{digest}.swf")
-    if not os.path.exists(path):
-        raise ServiceError("result_evicted", f"upload {digest[:12]} is no longer stored")
-    try:
-        return read_swf(path, name=label)
-    except ValueError as exc:
-        raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
 
 
 def _map_payload(result: CoplotResult) -> Dict[str, Any]:

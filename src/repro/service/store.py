@@ -17,13 +17,17 @@ last-wins like job records, so quarantine decisions survive restarts
 and a pardon (count reset to 0) is just another append.
 
 Uploads are spooled content-addressed into ``<state-dir>/uploads/`` as
-``<sha256>.npz``, keyed by the SHA-256 of the decompressed bytes: the
-submit's one SWF scan (:func:`repro.workload.swf.scan_swf`) stored as
-its header block and columns, which the worker loads instead of parsing
-the log again.  Only a log that scanned cleanly is ever spooled, so a
-rejected upload leaves nothing behind; the content address deduplicates
-repeated uploads of the same log and lets a re-enqueued job find its
-input after a crash.
+``<sha256>.scan<N>.npz``, keyed by the SHA-256 of the decompressed bytes
+and the scan's version *N* (:data:`repro.workload.swf.SCAN_VERSION`):
+the submit's one SWF scan (:func:`repro.workload.swf.scan_swf`) stored
+as its header block and columns, which the worker loads instead of
+parsing the log again.  Only a log that scanned cleanly is ever spooled,
+so a rejected upload leaves nothing behind; the content address
+deduplicates repeated uploads of the same log and lets a re-enqueued job
+find its input after a crash.  A scan of another version is never
+loaded: its log counts as not spooled, so a resubmission scans it again.
+A spool may also hold a log itself as ``<sha256>.swf`` (an in-process
+caller writes one), which the worker parses.
 
 The store is thread-safe with a two-lock discipline: ``_lock`` guards
 the in-memory map, its index of in-flight jobs by cache key (the
@@ -55,6 +59,9 @@ import numpy as np
 from repro.service.errors import ServiceError
 from repro.util import appendlog
 from repro.util.atomicio import atomic_open
+from repro.workload.fields import FIELD_NAMES
+from repro.workload.swf import SCAN_VERSION, build_workload, read_swf
+from repro.workload.workload import Workload
 
 __all__ = [
     "JOBS_JOURNAL_NAME",
@@ -268,28 +275,21 @@ class JobStore:
     # -- uploads -------------------------------------------------------------
 
     def has_upload(self, digest: str) -> bool:
-        """Whether *digest*'s upload is spooled (so it scanned cleanly)."""
-        return os.path.exists(self.upload_path(digest))
+        """Whether *digest*'s upload is spooled as this scan version (so
+        it scanned cleanly)."""
+        return os.path.exists(_scan_path(self.uploads_dir, digest))
 
     def spool_upload(
         self, digest: str, headers: Mapping[str, str], columns: Mapping[str, np.ndarray]
     ) -> None:
-        """Spool one upload's scan as ``<digest>.npz``, atomically.
+        """Spool one upload's scan as ``<digest>.scan<N>.npz``, atomically.
 
         The archive is uncompressed and streamed member by member into a
         temporary file beside the target, so no in-memory copy of it is
         ever built.
         """
-        with atomic_open(self.upload_path(digest)) as fh:
-            np.savez(
-                fh,
-                allow_pickle=False,
-                **{_HEADERS_MEMBER: np.array(json.dumps(dict(headers)))},
-                **columns,
-            )
-
-    def upload_path(self, digest: str) -> str:
-        return _spool_path(self.uploads_dir, digest)
+        with atomic_open(_scan_path(self.uploads_dir, digest)) as fh:
+            np.savez(fh, **{_HEADERS_MEMBER: np.array(json.dumps(dict(headers)))}, **columns)
 
 
 def decode_upload(body: bytes) -> Tuple[str, bytes]:
@@ -308,22 +308,35 @@ def decode_upload(body: bytes) -> Tuple[str, bytes]:
     return hashlib.sha256(body).hexdigest(), body
 
 
-def load_upload(
-    uploads_dir: str, digest: str
-) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarray]]]:
-    """The headers and columns spooled for *digest*; ``None`` if not spooled."""
+def load_upload(uploads_dir: str, digest: str, *, name: str) -> Workload:
+    """*digest*'s upload as ``read_swf(<the log>, name=name)`` returns it.
+
+    A spooled scan is rebuilt with the call ``read_swf`` ends in, so the
+    log is not parsed again; a spooled ``<digest>.swf`` is parsed.  With
+    neither (the log was never spooled, or only as another scan version)
+    this raises :class:`ServiceError` ``result_evicted``.
+    """
     try:
-        archive = np.load(_spool_path(uploads_dir, digest), allow_pickle=False)
+        archive = np.load(_scan_path(uploads_dir, digest), allow_pickle=False)
     except FileNotFoundError:
-        return None
-    with archive:
-        headers = json.loads(str(archive[_HEADERS_MEMBER]))
-        columns = {name: archive[name] for name in archive.files if name != _HEADERS_MEMBER}
-    return headers, columns
+        pass
+    else:
+        with archive:
+            headers = json.loads(str(archive[_HEADERS_MEMBER]))
+            columns = {field: archive[field] for field in FIELD_NAMES}
+        return build_workload(headers, columns, name=name)
+    try:
+        return read_swf(os.path.join(uploads_dir, f"{digest}.swf"), name=name)
+    except FileNotFoundError:
+        raise ServiceError(
+            "result_evicted", f"upload {digest[:12]} is no longer stored"
+        ) from None
+    except ValueError as exc:
+        raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
 
 
-def _spool_path(uploads_dir: str, digest: str) -> str:
-    return os.path.join(uploads_dir, f"{digest}.npz")
+def _scan_path(uploads_dir: str, digest: str) -> str:
+    return os.path.join(uploads_dir, f"{digest}.scan{SCAN_VERSION}.npz")
 
 
 def _in_flight_key(record: Optional[Dict[str, Any]]) -> Optional[str]:

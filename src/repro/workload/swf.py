@@ -35,17 +35,23 @@ Python ``float`` syntax, so the fallback is the only direction the two
 paths can disagree in.  Wrappers that take the per-line scan for every
 input are the equivalence oracles in ``tests/oracles/swf.py``.
 
+Both paths reject a job line whose int field (job number, sizes,
+status, ids) holds a value no int64 can: NaN, an infinity, or a
+magnitude of 2**63 or more, which :class:`Workload` would otherwise cast
+to ``-2**63``.  Float fields keep any value ``float()`` reads.
+
 :func:`scan_swf` is the one entry to both paths: it returns the header
-block and the raw columns, and :func:`_build_workload` turns those into
+block and the raw columns, and :func:`build_workload` turns those into
 a :class:`~repro.workload.workload.Workload`.  :func:`read_swf` does both
 at once; the service scans an upload once at submit, spools the scan's
-headers and columns, and its worker makes the same ``_build_workload``
+headers and columns, and its worker makes the same ``build_workload``
 call on them, so an upload is never parsed twice.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
 from dataclasses import dataclass
 from typing import BinaryIO, Dict, List, Optional, Sequence, TextIO, Tuple, Union
@@ -58,7 +64,9 @@ from repro.workload.fields import MISSING, SWF_FIELDS
 from repro.workload.workload import MachineInfo, Workload
 
 __all__ = [
+    "SCAN_VERSION",
     "SwfParseError",
+    "build_workload",
     "read_swf",
     "scan_swf",
     "write_swf",
@@ -68,6 +76,13 @@ __all__ = [
 
 #: Accepted ``on_error`` policies for the SWF reader.
 _ON_ERROR_POLICIES = ("raise", "skip", "quarantine")
+
+#: The version of :func:`scan_swf`'s output.  Bump it whenever the scan
+#: returns other headers or columns for some input: the service stores
+#: upload scans under it and never loads one of another version.
+#: ``tests/workload/test_swf.py::TestScanVersion`` pins the scan of a
+#: fixed corpus to this number.
+SCAN_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,11 @@ _HEADER_PROCS = ("maxprocs", "maxnodes", "processors")
 #: (they are vanishingly rare in archive files).  Checked with per-char
 #: ``in`` (memchr) rather than one regex pass: ~10x faster on a big log.
 _EXOTIC_BREAKS = "\r\v\f\x1c\x1d\x1e\x85  "
+
+#: An int field's value must lie in ``[-2**63, 2**63)`` to cast to int64;
+#: NaN and the infinities lie outside.
+_INT64_LOW, _INT64_HIGH = -(2.0**63), 2.0**63
+_INT_INDICES = tuple(f.index for f in SWF_FIELDS if f.dtype == "int")
 
 #: ``str(int(v))`` needs exact integer text; beyond this magnitude the
 #: int64 bulk formatting of the renderer could overflow, so fall back.
@@ -128,11 +148,31 @@ def _scan_reference(
         except ValueError as exc:
             bad_line(lineno, f"non-numeric field ({exc})", line)
             continue
+        # A finite sum excludes NaN and infinities, so min and max then
+        # bound every value; only a line failing that looks field by field.
+        if not (
+            math.isfinite(sum(values))
+            and _INT64_LOW <= min(values)
+            and max(values) < _INT64_HIGH
+        ):
+            misfit = _int64_misfit(values)
+            if misfit is not None:
+                field = SWF_FIELDS[misfit].name
+                bad_line(lineno, f"{field} {tokens[misfit]} does not fit an int64", line)
+                continue
         values.extend([float(MISSING)] * (len(SWF_FIELDS) - len(values)))
         rows.append(values)
 
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(SWF_FIELDS)))
     return headers, {f.name: data[:, f.index] for f in SWF_FIELDS}, errors
+
+
+def _int64_misfit(values: List[float]) -> Optional[int]:
+    """Index of the first int field of *values* outside int64, or ``None``."""
+    for i in _INT_INDICES:
+        if i < len(values) and not _INT64_LOW <= values[i] < _INT64_HIGH:
+            return i
+    return None
 
 
 #: Aggressive bulk dtype: every field whose values are integral in
@@ -215,6 +255,12 @@ def _loadtxt_attempts(make_source) -> Optional[Dict[str, np.ndarray]]:
         padded = np.full((data.shape[0], len(SWF_FIELDS)), float(MISSING))
         padded[:, : data.shape[1]] = data
         data = padded
+    # NaN propagates through min and max and fails the comparisons, so
+    # only a table holding NaN, an infinity or a huge value looks closer.
+    if data.size and not (_INT64_LOW <= data.min() and data.max() < _INT64_HIGH):
+        ints = data[:, list(_INT_INDICES)]
+        if not (np.all(ints >= _INT64_LOW) and np.all(ints < _INT64_HIGH)):
+            return None  # an int field no int64 holds: the reference names its line
     return {f.name: data[:, f.index] for f in SWF_FIELDS}
 
 
@@ -273,7 +319,7 @@ def _scan_bytes(raw: bytes) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarr
     return headers, columns
 
 
-def _build_workload(
+def build_workload(
     headers: Dict[str, str],
     columns: Dict[str, np.ndarray],
     *,
@@ -285,7 +331,7 @@ def _build_workload(
     """The :class:`Workload` of one :func:`scan_swf` result.
 
     Without *machine*, the header's processor count (or else the largest
-    finite observed job size) and ``Computer``/``Note`` lines describe
+    observed job size) and ``Computer``/``Note`` lines describe
     the machine; a header-less log takes its machine name from *name*.
     """
     if machine is None:
@@ -299,7 +345,7 @@ def _build_workload(
                 break
         if procs is None:
             observed = columns["used_procs"]
-            positive = observed[(observed > 0) & np.isfinite(observed)]
+            positive = observed[observed > 0]
             procs = int(positive.max()) if positive.size else 1
         machine = MachineInfo(
             name=headers.get("computer", name or "swf"),
@@ -359,9 +405,9 @@ def _parse(
     machine: Optional[MachineInfo],
     on_error: str,
 ) -> Workload:
-    """The one SWF parse: :func:`scan_swf`, then :func:`_build_workload`."""
+    """The one SWF parse: :func:`scan_swf`, then :func:`build_workload`."""
     headers, columns, errors = scan_swf(raw, text, on_error=on_error)
-    return _build_workload(
+    return build_workload(
         headers, columns, name=name, machine=machine, errors=errors, on_error=on_error
     )
 

@@ -15,7 +15,7 @@ from typing import Dict, Optional, TextIO, Union
 
 from repro.workload.swf import (
     _ON_ERROR_POLICIES,
-    _build_workload,
+    build_workload,
     _merged_headers,
     _read_raw_bytes,
     _render_rows_reference,
@@ -39,7 +39,7 @@ def parse_swf_text_reference(
             f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
         )
     headers, columns, errors = _scan_reference(text, on_error)
-    return _build_workload(
+    return build_workload(
         headers, columns, name=name, machine=machine, errors=errors, on_error=on_error
     )
 

@@ -2,17 +2,20 @@
 
 import gzip
 import hashlib
+import io
 import json
 import os
 import sys
 import threading
+import zipfile
 
-import numpy as np
 import pytest
 
+from repro.service import store as store_module
 from repro.service.errors import ServiceError
 from repro.service.store import JOBS_JOURNAL_NAME, JobStore, decode_upload, load_upload
-from repro.workload.swf import scan_swf
+from repro.workload.fields import FIELD_NAMES
+from repro.workload.swf import SCAN_VERSION, read_swf, scan_swf
 
 
 def _scan_in_flight(store, key):
@@ -242,31 +245,51 @@ class TestUploads:
         assert err.value.code == "bad_swf"
         assert err.value.status == 400
 
-    def test_spool_round_trips_headers_and_columns(self, tmp_path):
+    def test_spool_loads_to_what_read_swf_reads(self, tmp_path):
         store = JobStore(str(tmp_path))
         digest, raw = decode_upload(self.LOG)
         headers, columns, _ = scan_swf(raw)
         assert not store.has_upload(digest)
         store.spool_upload(digest, headers, columns)
         assert store.has_upload(digest)
-        assert os.listdir(store.uploads_dir) == [f"{digest}.npz"]
-        loaded_headers, loaded = load_upload(store.uploads_dir, digest)
-        assert loaded_headers == headers == {"computer": "Box", "maxprocs": "8"}
-        assert sorted(loaded) == sorted(columns)
-        for name, col in columns.items():
-            assert loaded[name].dtype == col.dtype
-            assert loaded[name].tobytes() == col.tobytes()
+        name = f"{digest}.scan{SCAN_VERSION}.npz"
+        assert os.listdir(store.uploads_dir) == [name]
+        # One member per SWF field beside the header block, and nothing else.
+        with zipfile.ZipFile(os.path.join(store.uploads_dir, name)) as archive:
+            members = archive.namelist()
+        assert members == [f"{m}.npy" for m in ("headers", *FIELD_NAMES)]
+        got = load_upload(store.uploads_dir, digest, name="U1")
+        want = read_swf(io.BytesIO(self.LOG), name="U1")
+        for field in FIELD_NAMES:
+            assert got.column(field).dtype == want.column(field).dtype
+            assert got.column(field).tobytes() == want.column(field).tobytes()
+        assert (got.machine, got.name) == (want.machine, want.name)
 
-    def test_unspooled_digest_loads_none(self, tmp_path):
-        assert load_upload(str(tmp_path), "0" * 64) is None
+    def test_unspooled_digest_is_evicted(self, tmp_path):
+        with pytest.raises(ServiceError) as err:
+            load_upload(str(tmp_path), "0" * 64, name="upload")
+        assert err.value.code == "result_evicted"
+
+    def test_a_scan_of_another_version_is_not_spooled(self, tmp_path, monkeypatch):
+        store = JobStore(str(tmp_path))
+        digest, raw = decode_upload(self.LOG)
+        store.spool_upload(digest, *scan_swf(raw)[:2])
+        monkeypatch.setattr(store_module, "SCAN_VERSION", SCAN_VERSION + 1)
+        assert not store.has_upload(digest)
+        with pytest.raises(ServiceError) as err:
+            load_upload(store.uploads_dir, digest, name="upload")
+        assert err.value.code == "result_evicted"
 
     def test_failed_spool_write_leaves_nothing(self, tmp_path):
+        class UnreadableColumn:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("the column's data is gone")
+
         store = JobStore(str(tmp_path))
         digest, raw = decode_upload(self.LOG)
         headers, columns, _ = scan_swf(raw)
-        # An object column cannot be written without pickle: the write
-        # fails after the archive's first members are on disk.
-        columns["think_time"] = np.array([object()], dtype=object)
-        with pytest.raises(ValueError):
+        # The last member fails after the archive's others are on disk.
+        columns["think_time"] = UnreadableColumn()
+        with pytest.raises(OSError, match="data is gone"):
             store.spool_upload(digest, headers, columns)
         assert os.listdir(store.uploads_dir) == []

@@ -1,7 +1,8 @@
 """Upload ingest: the submit scans an SWF body once, the worker loads the scan.
 
 ``ServiceApp.submit`` decodes and scans an upload before it journals a
-job and spools the scan's headers and columns as ``<sha256>.npz``; the
+job and spools the scan's headers and columns as
+``<sha256>.scan<N>.npz``; the
 worker rebuilds the workload from them with the call ``read_swf`` ends
 in.  The property here is that this split is invisible: whatever the
 body, the submit accepts exactly what ``read_swf`` reads, the spool loads
@@ -19,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.service import app as app_module
+from repro.service import store as store_module
 from repro.service.analyses import (
     AnalysisSpec,
     _load_workload,
@@ -30,15 +33,15 @@ from repro.service.errors import ServiceError
 from repro.service.store import decode_upload
 from repro.workload import swf
 from repro.workload.fields import SWF_FIELDS
-from repro.workload.swf import read_swf
+from repro.workload.swf import SCAN_VERSION, read_swf, scan_swf
 
 # -- generated upload bodies ----------------------------------------------------
 
 _INT = st.integers(-1, 10**6).map(str)
 _DECIMAL = st.builds(lambda i, f: f"{i}.{f:02d}", st.integers(0, 10**5), st.integers(0, 99))
 #: At or past 2**53, where float64 rounds and the int64 bulk parse must
-#: give way to the float one; below 2**62, so int fields cast cleanly.
-_HUGE = st.integers(2**53, 2**62).map(str)
+#: give way to the float one; up to 2**64, past what an int field holds.
+_HUGE = st.integers(2**53, 2**64).map(str)
 _TOKEN = st.one_of(*[_INT] * 6, _DECIMAL, _HUGE)
 _HEADER = st.one_of(
     st.integers(1, 4096).map(lambda n: f"; MaxProcs: {n}"),
@@ -46,6 +49,7 @@ _HEADER = st.one_of(
 )
 _BAD_LINE = st.one_of(
     st.lists(_INT, min_size=19, max_size=21).map(" ".join),  # more fields than SWF has
+    st.sampled_from(["1 0 0 10 inf", "1 nan 0 10 4", "1 0 0 10 4 -inf"]),  # non-finite
     st.tuples(st.lists(_INT, max_size=4), st.sampled_from(["abc", "1.2.3", "--1", "12a"])).map(
         lambda t: " ".join(t[0] + [t[1]])
     ),
@@ -56,7 +60,7 @@ _BAD_LINE = st.one_of(
 def upload_bodies(draw):
     """SWF upload bodies: plain or gzip, with or without a header block,
     short or ragged records, a comment below the first job, decimals,
-    values past 2**53, and now and then one malformed line."""
+    values past 2**53 and 2**63, and now and then one malformed line."""
     lines = draw(st.lists(_HEADER, max_size=3))
     first_job = len(lines)
     width = draw(st.integers(1, len(SWF_FIELDS)))  # < 18: short records
@@ -84,6 +88,8 @@ def _assert_same_workload(got, want):
 
 
 class TestSubmitProperty:
+    # A value an int field cannot hold must be rejected, not cast.
+    @pytest.mark.filterwarnings("error:invalid value encountered in cast:RuntimeWarning")
     @settings(
         max_examples=40,
         deadline=None,
@@ -113,7 +119,7 @@ class TestSubmitProperty:
                     return
                 assert status == 202, reply
                 digest = decode_upload(body)[0]
-                assert spooled == [f"{digest}.npz"]
+                assert spooled == [f"{digest}.scan{SCAN_VERSION}.npz"]
                 record = app.store.get(reply["job_id"])
                 spec = AnalysisSpec(  # as the worker rebuilds it
                     kind=record["kind"],
@@ -198,12 +204,16 @@ class TestRejections:
         "doc, body, code",
         [
             ({"kind": "coplot"}, b"1 0 0 10 4\n2 0 oops\n", "bad_swf"),
+            ({"kind": "coplot"}, b"1 0 0 10 4\n2 5 0 10 inf\n", "bad_swf"),
+            ({"kind": "coplot"}, b"1 0 0 10 4\n2 5 0 10 9223372036854775808\n", "bad_swf"),
             ({"kind": "coplot"}, gzip.compress(b"1 0 0 10 4\n")[:-6], "bad_swf"),
             ({"kind": "coplot"}, b" \r\n\t\n", "bad_swf"),
             # A bad spec is refused before the (also bad) log is scanned.
             ({"kind": "nope"}, b"2 0 oops\n", "invalid_spec"),
         ],
-        ids=["malformed", "truncated-gzip", "blank", "bad-spec"],
+        ids=[
+            "malformed", "infinite-size", "size-past-int64", "truncated-gzip", "blank", "bad-spec"
+        ],
     )
     def test_a_rejected_upload_leaves_nothing(self, tmp_path, doc, body, code):
         app = ServiceApp(str(tmp_path / "state"), workers=1)
@@ -216,11 +226,23 @@ class TestRejections:
         finally:
             app.close()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
-    def test_infinite_sizes_are_read_not_crashed_on(self, tmp_path):
-        # float("inf") passes the scan; the machine size must not
-        # overflow int() and turn the upload into a 500.
-        body = b"; MaxProcs: 1e999\n1 0 0 10 inf\n2 5 0 10 8\n"
+    def test_a_size_no_int64_holds_names_its_line(self, tmp_path):
+        body = b"1 0 0 10 4\n2 5 0 10 inf\n"
+        app = ServiceApp(str(tmp_path / "state"), workers=1)
+        try:
+            with pytest.raises(ServiceError) as err:
+                app.submit({"kind": "coplot"}, upload_body=body)
+        finally:
+            app.close()
+        message = "line 2: used_procs inf does not fit an int64"
+        assert err.value.body()["error"]["message"] == f"malformed SWF upload: {message}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_swf(io.BytesIO(body))
+
+    def test_an_infinite_machine_size_header_is_read_not_crashed_on(self, tmp_path):
+        # float("1e999") is inf: the header's size must not overflow int()
+        # and turn the upload into a 500; the jobs' sizes stand in for it.
+        body = b"; MaxProcs: 1e999\n1 0 0 10 4\n2 5 0 10 8\n"
         app = ServiceApp(str(tmp_path / "state"), workers=1)
         app.runner.submit = lambda job_id: None
         try:
@@ -229,3 +251,25 @@ class TestRejections:
             app.close(wait=False)
         assert status == 202
         assert read_swf(io.BytesIO(body)).machine.processors == 8
+
+
+class TestScanVersions:
+    def test_a_scan_of_another_version_is_scanned_again(self, tmp_path, monkeypatch, small_swf):
+        scans = []
+        monkeypatch.setattr(app_module, "scan_swf", lambda raw: scans.append(raw) or scan_swf(raw))
+        app = ServiceApp(str(tmp_path / "state"), workers=1)
+        app.runner.submit = lambda job_id: None
+        digest = decode_upload(small_swf)[0]
+        try:
+            for label in ("first", "spooled"):
+                app.submit({"kind": "coplot", "params": {"label": label}}, upload_body=small_swf)
+            assert len(scans) == 1  # the spooled scan stood for the second
+            monkeypatch.setattr(store_module, "SCAN_VERSION", SCAN_VERSION + 1)
+            app.submit({"kind": "coplot", "params": {"label": "again"}}, upload_body=small_swf)
+        finally:
+            app.close(wait=False)
+        assert len(scans) == 2
+        assert sorted(os.listdir(app.store.uploads_dir)) == [
+            f"{digest}.scan{SCAN_VERSION}.npz",
+            f"{digest}.scan{SCAN_VERSION + 1}.npz",
+        ]

@@ -1,6 +1,8 @@
 """Tests for the SWF reader/writer."""
 
+import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from repro.workload import (
     write_swf,
 )
 from repro.workload.fields import MISSING, SWF_FIELDS
+from repro.workload.swf import SCAN_VERSION, scan_swf
 
 SAMPLE = """\
 ; Computer: Test SP2
@@ -182,3 +185,49 @@ class TestOnError:
         assert len(w) == 2
         with pytest.raises(ValueError, match="line 3"):
             read_swf(path)
+
+
+class TestScanVersion:
+    """``SCAN_VERSION`` moves with what ``scan_swf`` returns.
+
+    The service stores each upload's scan under ``SCAN_VERSION`` and
+    loads only its own version's, so a scan change that kept the number
+    would have spools written by the old scan read as the new one's.
+    When the digest below changes, bump ``SCAN_VERSION`` and pin the new
+    pair.
+    """
+
+    #: Each path and rule of the scan: header keys, the int64 and float
+    #: bulk tables, padding, values past 2**53, the per-line scan, and the
+    #: rejections (a token, an int value no int64 holds).
+    CORPUS = (
+        SAMPLE,
+        "; Computer: A\n; maxprocs: 64\n1 0 5 100 4 90.5 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n",
+        "1 0 5\n2 10.25 0\n",
+        "1 9007199254740993 5 100 4\n2 3 5 100 4\n",
+        "1 0 5 100 4\n; mid-file\n2 1 5 100 4\r\n",
+        "1 inf 5 100 4 nan\n",
+        "1 0 5 100 inf\n",
+        "1 0 5 100 9223372036854775808\n",
+        "1 0 oops\n",
+    )
+
+    def _digest(self):
+        digest = hashlib.sha256()
+        for text in self.CORPUS:
+            try:
+                headers, columns, _ = scan_swf(text.encode())
+            except ValueError:
+                digest.update(b"rejected\0")
+                continue
+            digest.update(json.dumps(headers, sort_keys=True).encode())
+            for name, col in columns.items():
+                digest.update(f"\0{name}:{col.dtype.str}:".encode())
+                digest.update(col.tobytes())
+        return digest.hexdigest()
+
+    #: ``SCAN_VERSION`` and the digest of the corpus's scan at it.
+    PINNED = (1, "79055d747f3c87b8630e2e37cb6cdc07f92149a3659f1c4c2f10f18770d0081b")
+
+    def test_the_scan_of_a_fixed_corpus_is_pinned_to_the_version(self):
+        assert (SCAN_VERSION, self._digest()) == self.PINNED

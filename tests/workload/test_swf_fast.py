@@ -179,6 +179,30 @@ class TestFallbackEquivalence:
         text = f"; MaxProcs: 8\n1 {token} 5 100 4 -1 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n"
         _assert_equivalent(text, on_error="quarantine")
 
+    @pytest.mark.parametrize(
+        "token",
+        ["inf", "-inf", "nan", "9223372036854775808", "-9223372036854777856", "1e19"],
+    )
+    @pytest.mark.filterwarnings("error:invalid value encountered in cast:RuntimeWarning")
+    def test_int_values_no_int64_holds_are_bad_lines(self, token):
+        # A uniform float table, so the bulk scan is tried first and must
+        # decline in favour of the line the reference scan names.
+        text = f"; MaxProcs: 8\n1 0.5 5 100 4\n2 1.5 5 100 {token}\n3 2.5 5 100 4\n"
+        w = _assert_equivalent(text, on_error="quarantine")
+        assert [e.lineno for e in w.parse_errors] == [3]
+        assert w.column("job_id").tolist() == [1, 3]
+        message = f"line 3: used_procs {token} does not fit an int64"
+        for parse in (parse_swf_text, parse_swf_text_reference):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                parse(text)
+
+    @pytest.mark.filterwarnings("error:invalid value encountered in cast:RuntimeWarning")
+    def test_int64_range_ends_are_read(self):
+        # -2**63 itself, and the largest float64 below 2**63.
+        text = "1 0.5 5 100 -9223372036854775808\n2 1.5 5 100 9223372036854774784\n"
+        w = _assert_equivalent(text)
+        assert w.column("used_procs").tolist() == [-(2**63), 2**63 - 1024]
+
     def test_unencodable_text_takes_reference_scan(self):
         # A lone surrogate has no UTF-8 form: the text goes straight to
         # the per-line scan, which reports the line like any bad token.
