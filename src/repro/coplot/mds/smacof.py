@@ -5,7 +5,8 @@ Each iteration (a) replaces dissimilarities by disparities that respect
 their order — via Kruskal isotonic regression or Guttman's rank-image — and
 (b) applies the Guttman transform, the closed-form minimizer of the stress
 majorization.  Multiple restarts (one deterministic from classical scaling,
-the rest random) guard against local minima; the best configuration is kept.
+the rest random) guard against local minima; the configuration with the
+lowest coefficient of alienation, what the paper reports, is kept.
 
 Every restart runs in lockstep as one ``(k, n, dim)`` tensor — batched
 Guttman transforms, per-restart vectorized PAVA, distances and
@@ -262,7 +263,6 @@ def _solve_many(
     n_init: int,
     max_iter: int,
     tol: float,
-    select_by: str = "alienation",
     seed: SeedLike = None,
     init: Optional[np.ndarray] = None,
 ) -> List[MDSResult]:
@@ -272,20 +272,18 @@ def _solve_many(
     (*init*, or classical scaling plus ``n_init - 1`` normals from
     ``as_generator(seed)``, drawn in problem order), then runs every
     problem's restarts as rows of :func:`_run_batch` calls of at most
-    ``_BATCH_CELLS // n²`` rows each, and each problem keeps its best
-    restart.  Rows never affect each other, so where the
+    ``_BATCH_CELLS // n²`` rows each, and each problem keeps its
+    lowest-alienation restart.  Rows never affect each other, so where the
     slices fall does not matter: entry i is exactly ``smacof(mats[i], ...)``.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     if transform not in _TRANSFORMS:
         raise ValueError(f"transform must be one of {_TRANSFORMS}, got {transform!r}")
-    if select_by not in ("alienation", "stress"):
-        raise ValueError(f"select_by must be 'alienation' or 'stress', got {select_by!r}")
     if n_init < 1:
         raise ValueError(f"n_init must be >= 1, got {n_init}")
     best: Dict[int, MDSResult] = {}
-    best_key: Dict[int, float] = {}
+    best_theta: Dict[int, float] = {}
     owners: List[int] = []
     rows: List[np.ndarray] = []
     starts: List[np.ndarray] = []
@@ -341,9 +339,8 @@ def _solve_many(
             ]
         for i, sv, (coords, stress, it, conv) in zip(owners, rows, runs):
             theta = coefficient_of_alienation(sv, upper_triangle(pairwise_euclidean(coords)))
-            key = theta if select_by == "alienation" else stress
-            if key < best_key.get(i, math.inf):
-                best_key[i] = key
+            if theta < best_theta.get(i, math.inf):
+                best_theta[i] = theta
                 best[i] = MDSResult(
                     coords=coords,
                     alienation=theta,
@@ -368,7 +365,6 @@ def smacof(
     n_init: int = 8,
     max_iter: int = 300,
     tol: float = 1e-9,
-    select_by: str = "alienation",
     seed: SeedLike = None,
 ) -> MDSResult:
     """Run SMACOF MDS on a dissimilarity matrix.
@@ -391,10 +387,6 @@ def smacof(
         the rest are random.
     max_iter, tol:
         Per-start iteration budget and stress-change stopping tolerance.
-    select_by:
-        ``"alienation"`` keeps the restart with the lowest coefficient of
-        alienation (what the paper reports); ``"stress"`` keeps the lowest
-        Kruskal stress.
     seed:
         RNG seed for the random restarts.
 
@@ -410,7 +402,6 @@ def smacof(
         n_init=n_init,
         max_iter=max_iter,
         tol=tol,
-        select_by=select_by,
         seed=seed,
         init=init,
     )[0]

@@ -9,10 +9,6 @@ smallest-Θ configuration is exactly what the original SSA program reports.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from repro.coplot.mds.base import MDSResult
 from repro.coplot.mds.smacof import smacof
 from repro.util.rng import SeedLike
@@ -24,7 +20,6 @@ def smallest_space_analysis(
     s,
     dim: int = 2,
     *,
-    init: Optional[np.ndarray] = None,
     n_init: int = 8,
     max_iter: int = 500,
     tol: float = 1e-10,
@@ -48,10 +43,8 @@ def smallest_space_analysis(
         s,
         dim=dim,
         transform=transform,
-        init=init,
         n_init=n_init,
         max_iter=max_iter,
         tol=tol,
-        select_by="alienation",
         seed=seed,
     )

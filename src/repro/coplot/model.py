@@ -256,7 +256,6 @@ class Coplot:
             n_init=self.n_init,
             max_iter=self.max_iter,
             tol=self.tol,
-            select_by="alienation",
             seed=self.seed,
         )
         return self._result(mat, labels, signs, z, s, mds)

@@ -16,8 +16,8 @@ from repro.util.validation import check_2d
 __all__ = ["procrustes_align", "procrustes_align_batch", "procrustes_disparity"]
 
 
-def procrustes_align(reference, target, *, allow_scaling: bool = True) -> np.ndarray:
-    """Rotate/reflect (and optionally scale) *target* onto *reference*.
+def procrustes_align(reference, target) -> np.ndarray:
+    """Rotate/reflect and scale *target* onto *reference*.
 
     Both are n x dim configurations over the same n observations in the
     same row order.  Returns the transformed copy of *target* minimizing
@@ -38,16 +38,11 @@ def procrustes_align(reference, target, *, allow_scaling: bool = True) -> np.nda
 
     u, svals, vt = np.linalg.svd(a_c.T @ b_c)
     rotation = u @ vt
-    if allow_scaling:
-        scale = svals.sum() / (norm_b**2)
-    else:
-        scale = 1.0
+    scale = svals.sum() / (norm_b**2)
     return scale * b_c @ rotation.T + a.mean(axis=0)
 
 
-def procrustes_align_batch(
-    reference, targets, *, allow_scaling: bool = True
-) -> np.ndarray:
+def procrustes_align_batch(reference, targets) -> np.ndarray:
     """Align a (k, n, dim) stack of configurations onto one reference.
 
     Vectorized counterpart of mapping :func:`procrustes_align` over the
@@ -73,11 +68,8 @@ def procrustes_align_batch(
 
     u, svals, vt = np.linalg.svd(np.matmul(a_c.T[None, :, :], b_c))
     rotation = np.matmul(u, vt)
-    if allow_scaling:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = svals.sum(axis=1) / (norm_b**2)
-    else:
-        scale = np.ones(b.shape[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = svals.sum(axis=1) / (norm_b**2)
     out = (
         scale[:, None, None] * np.matmul(b_c, rotation.transpose(0, 2, 1))
         + a_mean
@@ -89,15 +81,16 @@ def procrustes_align_batch(
     return out
 
 
-def procrustes_disparity(reference, target, *, allow_scaling: bool = True) -> float:
+def procrustes_disparity(reference, target) -> float:
     """Normalized residual after alignment, in [0, 1].
 
-    0 means the configurations are identical up to the allowed transforms;
+    0 means the configurations are identical up to rotation, reflection,
+    uniform scaling and translation;
     1 means no shared structure.  Defined as ``||A' - B'||² / ||A'||²``
     with A' the centred reference and B' the aligned target.
     """
     a = check_2d(reference, "reference")
-    aligned = procrustes_align(a, target, allow_scaling=allow_scaling)
+    aligned = procrustes_align(a, target)
     a_c = a - a.mean(axis=0)
     norm = float(np.sum(a_c**2))
     if norm == 0:

@@ -46,13 +46,7 @@ from repro.experiments.parametric_model import ParametricModelResult, run_parame
 from repro.experiments.scheduling import SchedulingResult, run_scheduling
 from repro.experiments.stability import StabilityResult, run_stability
 
-#: Back-compat view of the registry: experiment id -> run function.  The
-#: authoritative entries (seeding, quick-mode overrides, timeouts) live in
-#: :data:`repro.experiments.registry.REGISTRY`.
-EXPERIMENTS = {exp_id: spec.run for exp_id, spec in REGISTRY.items()}
-
 __all__ = [
-    "EXPERIMENTS",
     "REGISTRY",
     "ExperimentSpec",
     "build_kwargs",

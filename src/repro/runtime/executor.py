@@ -110,7 +110,6 @@ class DagExecutor:
         *,
         backoff_base_s: float = 0.25,
         backoff_cap_s: float = 8.0,
-        sleep: Callable[[float], None] = time.sleep,
         fault_plan: Optional[FaultPlan] = None,
         on_result: Optional[Callable[[TaskResult], None]] = None,
         on_event: Optional[Callable[..., None]] = None,
@@ -121,7 +120,6 @@ class DagExecutor:
         self.jobs = jobs
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
-        self._sleep = sleep
         self.fault_plan = fault_plan
         self.on_result = on_result
         self.on_event = on_event
@@ -242,6 +240,7 @@ class DagExecutor:
                     # Inline mode cannot preempt: report the late attempt as
                     # a timeout and discard its value for parity with the
                     # process mode (where the value is lost with the worker).
+                    self._event("timeout", task=task.id, attempt=attempt, timeout_s=task.timeout)
                     status, error = TaskStatus.TIMEOUT, f"attempt exceeded {task.timeout}s"
                 else:
                     return TaskResult(
@@ -257,7 +256,7 @@ class DagExecutor:
             if attempt <= task.retries:
                 delay = backoff_delay(task.id, attempt, self.backoff_base_s, self.backoff_cap_s)
                 self._event("retry", task=task.id, attempt=attempt, delay_s=round(delay, 4), error=error)
-                self._sleep(delay)
+                time.sleep(delay)
                 continue
             return TaskResult(id=task.id, status=status, error=error, attempts=attempt, wall_s=wall)
 
@@ -324,7 +323,7 @@ class DagExecutor:
                 wake = min((entry[0] for entry in sleeping), default=None)
                 if not in_flight:
                     if wake is not None:  # idle until the earliest backoff expires
-                        self._sleep(max(0.0, wake - time.monotonic()))
+                        time.sleep(max(0.0, wake - time.monotonic()))
                     continue
 
                 timeout = None if wake is None else max(0.0, wake - time.monotonic())

@@ -358,7 +358,6 @@ def compute_analysis(
     cache_dir: str,
     fingerprint: str,
     uploads_dir: str,
-    refresh: bool = False,
 ) -> Tuple[Dict[str, Any], bool, str]:
     """Execute one spec through the runtime cache.
 
@@ -374,9 +373,7 @@ def compute_analysis(
         kwargs = build_kwargs(
             REGISTRY[exp_id], seed=spec.input["seed"], quick=spec.input["quick"]
         )
-        envelope = execute_experiment_cached(
-            exp_id, kwargs, cache_dir, fingerprint, refresh=refresh
-        )
+        envelope = execute_experiment_cached(exp_id, kwargs, cache_dir, fingerprint)
         return envelope["payload"], bool(envelope["cache_hit"]), envelope["key"]
 
     def _run() -> Dict[str, Any]:
@@ -384,8 +381,6 @@ def compute_analysis(
         return _json_safe(_COMPUTE[spec.kind](spec, workload))
 
     with span(f"task:service.{spec.kind}", key=key[:12]) as handle:
-        payload, hit = cache.get_or_compute(
-            key, _run, meta={"service": spec.kind}, refresh=refresh
-        )
+        payload, hit = cache.get_or_compute(key, _run, meta={"service": spec.kind})
         handle.set(cache_hit=hit)
     return payload, hit, key

@@ -48,7 +48,7 @@ from repro.runtime.faults import parse_chaos_spec
 from repro.runtime.fingerprint import code_fingerprint
 from repro.service.analyses import parse_analysis_request, spec_cache_key
 from repro.service.errors import ServiceError
-from repro.service.jobs import JobRunner
+from repro.service.jobs import RETRY_AFTER_S, JobRunner
 from repro.service.store import JobStore, decode_upload
 from repro.workload.swf import scan_swf
 
@@ -223,7 +223,7 @@ class ServiceApp:
         if self.store.has_upload(digest):
             return
         try:
-            headers, columns, _ = scan_swf(raw)
+            headers, columns = scan_swf(raw)
         except ValueError as exc:
             raise ServiceError("bad_swf", f"malformed SWF upload: {exc}") from exc
         self.store.spool_upload(digest, headers, columns)
@@ -351,14 +351,14 @@ class ServiceApp:
             raise ServiceError(
                 "not_ready",
                 "server is draining",
-                retry_after=self.runner.retry_after_s,
+                retry_after=RETRY_AFTER_S,
                 **stats,
             )
         if stats["headroom"] <= 0:
             raise ServiceError(
                 "not_ready",
                 f"all {stats['capacity']} job slots are taken",
-                retry_after=self.runner.retry_after_s,
+                retry_after=RETRY_AFTER_S,
                 **stats,
             )
         return {"status": "ready", **stats}

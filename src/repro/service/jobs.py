@@ -73,10 +73,18 @@ from repro.service.worker import job_worker_main
 from repro.util.appendlog import tear
 from repro.util.atomicio import atomic_write_bytes, atomic_write_text, create_run_dir, point_latest
 
-__all__ = ["RUNS_DIR_NAME", "JobRunner"]
+__all__ = ["RETRY_AFTER_S", "RUNS_DIR_NAME", "JobRunner"]
 
 #: Per-job run directories live here, inside the service state dir.
 RUNS_DIR_NAME = "runs"
+
+#: Backoff between a job's attempts: the first retry waits about
+#: ``_BACKOFF_BASE_S``, doubling per attempt up to ``_BACKOFF_CAP_S``.
+_BACKOFF_BASE_S = 0.25
+_BACKOFF_CAP_S = 8.0
+
+#: The ``Retry-After`` a shed, draining or not-ready answer carries.
+RETRY_AFTER_S = 1.0
 
 #: Histogram buckets for job wall time (seconds).
 _JOB_BUCKETS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0)
@@ -115,9 +123,6 @@ class JobRunner:
         job_timeout_s: Optional[float] = None,
         job_retries: int = 2,
         poison_threshold: int = 2,
-        backoff_base_s: float = 0.25,
-        backoff_cap_s: float = 8.0,
-        retry_after_s: float = 1.0,
         fault_plan: Optional[FaultPlan] = None,
         before_execute: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -142,9 +147,6 @@ class JobRunner:
         self.job_timeout_s = job_timeout_s
         self.job_retries = job_retries
         self.poison_threshold = poison_threshold
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.retry_after_s = retry_after_s
         self.fault_plan = fault_plan
         #: Test/diagnostic seam: runs in the supervisor before a job starts.
         self.before_execute = before_execute
@@ -175,14 +177,14 @@ class JobRunner:
                 raise ServiceError(
                     "shutting_down",
                     "server is draining; try again later",
-                    retry_after=self.retry_after_s,
+                    retry_after=RETRY_AFTER_S,
                 )
             if not force and self._active >= self.capacity:
                 self.metrics.inc("analyses_shed_total")
                 raise ServiceError(
                     "over_capacity",
                     f"all {self.capacity} job slots are taken; retry shortly",
-                    retry_after=self.retry_after_s,
+                    retry_after=RETRY_AFTER_S,
                     active=self._active,
                     capacity=self.capacity,
                 )
@@ -216,7 +218,7 @@ class JobRunner:
                 raise ServiceError(
                     "shutting_down",
                     "server is draining; try again later",
-                    retry_after=self.retry_after_s,
+                    retry_after=RETRY_AFTER_S,
                 )
             self._controls[job_id] = _JobControl()
         self._pool.submit(self._run_job, job_id)
@@ -490,7 +492,7 @@ class JobRunner:
                     message=report.get("message", "job failed"),
                 )
                 return
-            delay = backoff_delay(job_id, attempt, self.backoff_base_s, self.backoff_cap_s)
+            delay = backoff_delay(job_id, attempt, _BACKOFF_BASE_S, _BACKOFF_CAP_S)
             self.metrics.inc("job_retries_total")
             event(
                 "job_retry",

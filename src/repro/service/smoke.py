@@ -13,8 +13,10 @@ drives it with :mod:`urllib` exactly the way a client would:
    ``task:service.*`` child, while the first job's (the miss) has one,
    and that the miss's worker loaded the upload the submit had scanned:
    no ``swf.parse`` span anywhere under its job span,
-4. check the structured 4xx contract on a malformed upload, and that
-   the rejected upload added no file to ``<state-dir>/uploads/``,
+4. check the structured 4xx contract on a malformed upload and on a
+   valid log with one fractional job size, whose error names its line,
+   and that neither rejected upload added a file to
+   ``<state-dir>/uploads/``,
 5. scrape ``/metrics`` and ``/healthz``.
 
 Exits nonzero on the first broken invariant; ``make service-smoke``
@@ -217,8 +219,27 @@ def run_smoke(base: str, state_dir: str, *, timeout_s: float = 120.0) -> List[st
         status == 400 and err.get("code") == "bad_swf",
         f"malformed SWF -> 400 bad_swf (got {status} {err.get('code')})",
     )
+    lines = swf.decode().split("\n")
+    job_lines = [i for i, line in enumerate(lines) if line and not line.startswith(";")]
+    bad = job_lines[len(job_lines) // 2]
+    fields = lines[bad].split()
+    fields[4] = "4.5"  # used_procs
+    lines[bad] = " ".join(fields)
+    status, body, _ = _request(
+        f"{base}/v1/analyses?kind=coplot",
+        "\n".join(lines).encode(),
+        content_type="application/octet-stream",
+    )
+    err = json.loads(body).get("error", {})
+    check(
+        status == 400
+        and err.get("code") == "bad_swf"
+        and f"line {bad + 1}: used_procs 4.5 " in err.get("message", ""),
+        f"a job of size 4.5 -> 400 bad_swf naming line {bad + 1} "
+        f"(got {status} {err.get('code')}: {err.get('message')})",
+    )
     added = sorted(set(os.listdir(uploads_dir)) - spooled)
-    check(added == [], f"the malformed upload added no file to uploads/ (added: {added})")
+    check(added == [], f"the rejected uploads added no file to uploads/ (added: {added})")
 
     # 5. health, readiness + metrics shape
     status, body, _ = _request(f"{base}/healthz")

@@ -27,7 +27,10 @@ deduplicates repeated uploads of the same log and lets a re-enqueued job
 find its input after a crash.  A scan of another version is never
 loaded: its log counts as not spooled, so a resubmission scans it again.
 A spool may also hold a log itself as ``<sha256>.swf`` (an in-process
-caller writes one), which the worker parses.
+caller writes one), which the worker parses.  Opening a state directory
+deletes the spool files no server loads again: scans of another version,
+a ``<sha256>.swf`` whose current-version scan exists, and the temporary
+file of a spool write that a crash cut short.
 
 The store is thread-safe with a two-lock discipline: ``_lock`` guards
 the in-memory map, its index of in-flight jobs by cache key (the
@@ -116,6 +119,7 @@ class JobStore:
         # first new record would glue onto the fragment and be lost.
         appendlog.repair_torn_tail(self.path)
         self._load()
+        self._sweep_uploads()
 
     # -- journal replay ------------------------------------------------------
 
@@ -154,6 +158,26 @@ class JobStore:
             if new_key is not None:
                 self._in_flight.setdefault(new_key, set()).add(job_id)
         self._jobs[job_id] = record
+
+    def _sweep_uploads(self) -> None:
+        """Delete the spool files no server loads again.
+
+        A ``<sha256>.swf`` with no current-version scan stays: a recovered
+        job still loads it.
+        """
+        names = set(os.listdir(self.uploads_dir))
+        current = f"scan{SCAN_VERSION}.npz"
+        for name in names:
+            digest, _, kind = name.partition(".")
+            if (
+                name.endswith(".tmp")
+                or (kind.startswith("scan") and kind.endswith(".npz") and kind != current)
+                or (kind == "swf" and f"{digest}.{current}" in names)
+            ):
+                try:
+                    os.remove(os.path.join(self.uploads_dir, name))
+                except FileNotFoundError:
+                    pass
 
     # -- writes --------------------------------------------------------------
 

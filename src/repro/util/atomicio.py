@@ -56,14 +56,9 @@ def atomic_open(
         raise
 
 
-def atomic_write_text(
-    path: Union[str, os.PathLike],
-    text: str,
-    *,
-    encoding: str = "utf-8",
-) -> None:
-    """Write *text* to *path* atomically (:func:`atomic_open`)."""
-    with atomic_open(path, "w", encoding=encoding) as fh:
+def atomic_write_text(path: Union[str, os.PathLike], text: str) -> None:
+    """Write *text* to *path* as UTF-8, atomically (:func:`atomic_open`)."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 

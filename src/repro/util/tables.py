@@ -39,7 +39,6 @@ def format_table(
     *,
     float_fmt: str = "{:.4g}",
     title: Optional[str] = None,
-    align_first_left: bool = True,
 ) -> str:
     """Render *rows* as an aligned monospace table.
 
@@ -54,8 +53,8 @@ def format_table(
         ``str.format`` spec applied to floats.
     title:
         Optional caption printed above the table.
-    align_first_left:
-        Left-align the first (label) column, right-align the rest.
+
+    The first (label) column is left-aligned, the rest right-aligned.
     """
     rendered = [[_render_cell(c, float_fmt) for c in row] for row in rows]
     for i, row in enumerate(rendered):
@@ -71,10 +70,7 @@ def format_table(
     def fmt_row(cells: Sequence[str]) -> str:
         parts = []
         for j, cell in enumerate(cells):
-            if j == 0 and align_first_left:
-                parts.append(cell.ljust(widths[j]))
-            else:
-                parts.append(cell.rjust(widths[j]))
+            parts.append(cell.ljust(widths[j]) if j == 0 else cell.rjust(widths[j]))
         return "  ".join(parts).rstrip()
 
     lines = []

@@ -35,13 +35,11 @@ def check_2d(x, name: str = "x") -> np.ndarray:
     return arr
 
 
-def check_positive(value: float, name: str = "value", *, strict: bool = True) -> float:
-    """Require ``value > 0`` (or ``>= 0`` when *strict* is False)."""
+def check_positive(value: float, name: str = "value") -> float:
+    """Require ``value > 0``."""
     value = float(value)
-    if strict and not value > 0:
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
-    if not strict and value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
     return value
 
 

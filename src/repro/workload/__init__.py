@@ -10,7 +10,7 @@ variables in :mod:`repro.workload.statistics`.
 
 from repro.workload.fields import SWF_FIELDS, SwfField, STATUS_COMPLETED, STATUS_FAILED, STATUS_CANCELLED
 from repro.workload.workload import Workload, MachineInfo
-from repro.workload.swf import SwfParseError, read_swf, write_swf, parse_swf_text, render_swf_text
+from repro.workload.swf import read_swf, write_swf, parse_swf_text, render_swf_text
 from repro.workload.filters import split_interactive_batch, split_time_windows
 from repro.workload.statistics import (
     WorkloadStatistics,
@@ -46,7 +46,6 @@ __all__ = [
     "STATUS_CANCELLED",
     "Workload",
     "MachineInfo",
-    "SwfParseError",
     "read_swf",
     "write_swf",
     "parse_swf_text",

@@ -106,10 +106,6 @@ class AnomalyReport:
     downtime: List[DowntimeGap]
     dedication: List[DedicationPeriod]
     duplicates: np.ndarray
-    #: Malformed SWF lines quarantined by the reader (see
-    #: :class:`repro.workload.swf.SwfParseError`); empty unless the
-    #: workload was parsed with ``on_error="quarantine"``.
-    parse_errors: Tuple = ()
 
     @property
     def is_clean(self) -> bool:
@@ -118,7 +114,6 @@ class AnomalyReport:
             and not self.downtime
             and not self.dedication
             and self.duplicates.size == 0
-            and not self.parse_errors
         )
 
     def summary(self) -> str:
@@ -126,8 +121,7 @@ class AnomalyReport:
             f"{self.workload_name}: {self.limits.total} limit violation(s), "
             f"{len(self.downtime)} downtime gap(s), "
             f"{len(self.dedication)} dedication period(s), "
-            f"{self.duplicates.size} duplicate record(s), "
-            f"{len(self.parse_errors)} unparsable line(s) "
+            f"{self.duplicates.size} duplicate record(s) "
             f"in {self.n_jobs} jobs"
         )
 
@@ -273,12 +267,7 @@ def audit_workload(
     *,
     runtime_limit: Optional[float] = None,
 ) -> AnomalyReport:
-    """Run every detector and bundle the findings.
-
-    Parse errors quarantined by :func:`repro.workload.swf.read_swf`
-    (``on_error="quarantine"``) ride along in the report: a log whose
-    file was dirty is not clean, even if every surviving record is.
-    """
+    """Run every detector and bundle the findings."""
     return AnomalyReport(
         workload_name=workload.name,
         n_jobs=len(workload),
@@ -286,7 +275,6 @@ def audit_workload(
         downtime=find_downtime_gaps(workload),
         dedication=find_dedication_periods(workload),
         duplicates=find_duplicate_records(workload),
-        parse_errors=tuple(getattr(workload, "parse_errors", ())),
     )
 
 

@@ -92,18 +92,15 @@ def cpu_load(workload: Workload) -> float:
     return total / (workload.machine.processors * duration)
 
 
-def interarrival_times(workload: Workload, *, use_start_fallback: bool = True) -> np.ndarray:
+def interarrival_times(workload: Workload) -> np.ndarray:
     """Inter-arrival times between consecutive job submissions.
 
     Jobs are ordered by submit time.  When submit times are unknown (all
-    missing) and *use_start_fallback* is set, start times are used instead —
-    the paper's rule 2 for the NASA, LLNL and interactive workloads.
+    missing), start times are used instead — the paper's rule 2 for the
+    NASA, LLNL and interactive workloads.
     """
     submit = workload.column("submit_time")
-    if np.all(submit < 0) and use_start_fallback:
-        base = workload.start_times
-    else:
-        base = submit
+    base = workload.start_times if np.all(submit < 0) else submit
     base = base[base >= 0]
     if base.size < 2:
         return np.empty(0)

@@ -11,14 +11,7 @@ Format, as defined by the Parallel Workloads Archive the paper announces:
 The reader tolerates records with fewer than 18 fields (some early archive
 conversions truncated trailing unknowns) by padding with ``-1``, and maps
 recognised header keys onto :class:`~repro.workload.workload.MachineInfo`.
-
-Malformed job lines are handled per the ``on_error`` policy: ``"raise"``
-(the default) fails fast on the first bad line, ``"skip"`` silently
-drops bad lines, and ``"quarantine"`` drops them *and* records each as a
-:class:`SwfParseError` on ``workload.parse_errors`` — which
-:func:`repro.workload.anomalies.audit_workload` folds into its report,
-so a dirty archive file shows up in the same audit as the paper's other
-log anomalies.
+A malformed job line raises ``ValueError`` naming its line number.
 
 Two scan paths share these semantics.  Every input reaches them as bytes:
 a string is encoded as UTF-8, and a gzip file or binary handle is
@@ -28,17 +21,17 @@ loop — and is taken only when it provably matches the reference scan:
 comments confined to the leading header block, ordinary newlines, and a
 clean uniform job table.  Anything else (a malformed token, ragged
 records, mid-file comments, exotic line separators) falls back to the
-original per-line scan (``_scan_reference``), so ``on_error`` policies,
-short-record padding and ``SwfParseError`` line numbers are preserved
-bit for bit.  NumPy's tokenizer accepts a strict subset of
-Python ``float`` syntax, so the fallback is the only direction the two
-paths can disagree in.  Wrappers that take the per-line scan for every
-input are the equivalence oracles in ``tests/oracles/swf.py``.
+original per-line scan (``_scan_reference``), so short-record padding
+and error line numbers are preserved bit for bit.  NumPy's tokenizer
+accepts a strict subset of Python ``float`` syntax, so the fallback is
+the only direction the two paths can disagree in.  Wrappers that take
+the per-line scan for every input are the equivalence oracles in
+``tests/oracles/swf.py``.
 
-Both paths reject a job line whose int field (job number, sizes,
-status, ids) holds a value no int64 can: NaN, an infinity, or a
-magnitude of 2**63 or more, which :class:`Workload` would otherwise cast
-to ``-2**63``.  Float fields keep any value ``float()`` reads.
+Both paths accept only values SWF defines: a job line is malformed when
+a field holds NaN or an infinity, or when an int field (job number,
+sizes, status, ids) holds a fraction or a magnitude of 2**63 or more,
+which :class:`Workload` would otherwise truncate or cast to ``-2**63``.
 
 :func:`scan_swf` is the one entry to both paths: it returns the header
 block and the raw columns, and :func:`build_workload` turns those into
@@ -52,9 +45,10 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import os
-from dataclasses import dataclass
-from typing import BinaryIO, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+import warnings
+from typing import BinaryIO, Dict, List, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -65,7 +59,6 @@ from repro.workload.workload import MachineInfo, Workload
 
 __all__ = [
     "SCAN_VERSION",
-    "SwfParseError",
     "build_workload",
     "read_swf",
     "scan_swf",
@@ -74,24 +67,12 @@ __all__ = [
     "render_swf_text",
 ]
 
-#: Accepted ``on_error`` policies for the SWF reader.
-_ON_ERROR_POLICIES = ("raise", "skip", "quarantine")
-
 #: The version of :func:`scan_swf`'s output.  Bump it whenever the scan
 #: returns other headers or columns for some input: the service stores
 #: upload scans under it and never loads one of another version.
 #: ``tests/workload/test_swf.py::TestScanVersion`` pins the scan of a
 #: fixed corpus to this number.
-SCAN_VERSION = 1
-
-
-@dataclass(frozen=True)
-class SwfParseError:
-    """One malformed SWF job line, kept for the anomaly audit."""
-
-    lineno: int
-    reason: str
-    line: str
+SCAN_VERSION = 2
 
 # Header keys we map onto MachineInfo; compared case-insensitively.
 _HEADER_PROCS = ("maxprocs", "maxnodes", "processors")
@@ -105,7 +86,8 @@ _EXOTIC_BREAKS = "\r\v\f\x1c\x1d\x1e\x85  "
 #: An int field's value must lie in ``[-2**63, 2**63)`` to cast to int64;
 #: NaN and the infinities lie outside.
 _INT64_LOW, _INT64_HIGH = -(2.0**63), 2.0**63
-_INT_INDICES = tuple(f.index for f in SWF_FIELDS if f.dtype == "int")
+_INT_INDICES = [f.index for f in SWF_FIELDS if f.dtype == "int"]
+_int_fields = operator.itemgetter(*_INT_INDICES)
 
 #: ``str(int(v))`` needs exact integer text; beyond this magnitude the
 #: int64 bulk formatting of the renderer could overflow, so fall back.
@@ -119,19 +101,10 @@ def _parse_header_line(headers: Dict[str, str], line: str) -> None:
         headers[key.strip().lower()] = value.strip()
 
 
-def _scan_reference(
-    text: str, on_error: str
-) -> Tuple[Dict[str, str], Dict[str, np.ndarray], List[SwfParseError]]:
-    """The original per-line scan: headers, columns, parse errors."""
+def _scan_reference(text: str) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
+    """The original per-line scan: headers and columns."""
     headers: Dict[str, str] = {}
     rows: List[List[float]] = []
-    errors: List[SwfParseError] = []
-
-    def bad_line(lineno: int, reason: str, line: str) -> None:
-        if on_error == "raise":
-            raise ValueError(f"line {lineno}: {reason}")
-        errors.append(SwfParseError(lineno=lineno, reason=reason, line=line))
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -141,38 +114,64 @@ def _scan_reference(
             continue
         tokens = line.split()
         if len(tokens) > len(SWF_FIELDS):
-            bad_line(lineno, f"{len(tokens)} fields, SWF defines {len(SWF_FIELDS)}", line)
-            continue
+            raise ValueError(
+                f"line {lineno}: {len(tokens)} fields, SWF defines {len(SWF_FIELDS)}"
+            )
         try:
             values = [float(t) for t in tokens]
         except ValueError as exc:
-            bad_line(lineno, f"non-numeric field ({exc})", line)
-            continue
+            raise ValueError(f"line {lineno}: non-numeric field ({exc})") from exc
+        values.extend([float(MISSING)] * (len(SWF_FIELDS) - len(values)))
         # A finite sum excludes NaN and infinities, so min and max then
-        # bound every value; only a line failing that looks field by field.
+        # bound every value; only a line failing that, or holding a
+        # fraction in an int field, looks field by field.
         if not (
             math.isfinite(sum(values))
             and _INT64_LOW <= min(values)
             and max(values) < _INT64_HIGH
+            and all(map(float.is_integer, _int_fields(values)))
         ):
-            misfit = _int64_misfit(values)
-            if misfit is not None:
-                field = SWF_FIELDS[misfit].name
-                bad_line(lineno, f"{field} {tokens[misfit]} does not fit an int64", line)
-                continue
-        values.extend([float(MISSING)] * (len(SWF_FIELDS) - len(values)))
+            bad = _bad_value(values)
+            if bad is not None:
+                i, reason = bad
+                raise ValueError(f"line {lineno}: {SWF_FIELDS[i].name} {tokens[i]} {reason}")
         rows.append(values)
 
     data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(SWF_FIELDS)))
-    return headers, {f.name: data[:, f.index] for f in SWF_FIELDS}, errors
+    return headers, {f.name: data[:, f.index] for f in SWF_FIELDS}
 
 
-def _int64_misfit(values: List[float]) -> Optional[int]:
-    """Index of the first int field of *values* outside int64, or ``None``."""
-    for i in _INT_INDICES:
-        if i < len(values) and not _INT64_LOW <= values[i] < _INT64_HIGH:
-            return i
+def _bad_value(values: List[float]) -> Optional[Tuple[int, str]]:
+    """The first field of a padded job line SWF does not allow, and why."""
+    for f, v in zip(SWF_FIELDS, values):
+        if f.dtype == "int":
+            if not _INT64_LOW <= v < _INT64_HIGH:
+                return f.index, "does not fit an int64"
+            if not v.is_integer():
+                return f.index, "is not an integer"
+        elif not math.isfinite(v):
+            return f.index, "is not finite"
     return None
+
+
+def _loadtxt_refuses_fractional_ints() -> bool:
+    """Whether ``np.loadtxt`` rejects ``0.5`` for an int64 field.
+
+    NumPy releases that still carry its 1.23 deprecation read such a
+    token through a float and truncate it, with a ``DeprecationWarning``.
+    There the int64 record attempt would let a fraction in an int field
+    through, so it is skipped and every table takes the float matrix.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            np.loadtxt(io.BytesIO(b"0.5"), dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+_RECORD_ATTEMPT = _loadtxt_refuses_fractional_ints()
 
 
 #: Aggressive bulk dtype: every field whose values are integral in
@@ -194,11 +193,14 @@ _EXACT_FLOAT_LIMIT = 2**53
 
 
 def _columns_from_record(rec: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
-    """Columns from a ``_FAST_DTYPE`` record array; ``None`` past 2**53.
+    """Columns from a ``_FAST_DTYPE`` record array; ``None`` past 2**53
+    or on a non-finite value.
 
     The reference scan routes every value through float64, which rounds
     integers at 2**53 and beyond; int64 parsing would preserve them and
-    silently diverge, so such files take the all-float path instead.
+    silently diverge, so such files take the all-float path instead, as
+    does a NaN or an infinity in the float-parsed field, which the float
+    path's check hands on to the reference scan.
     """
     columns: Dict[str, np.ndarray] = {}
     for f in SWF_FIELDS:
@@ -218,6 +220,8 @@ def _columns_from_record(rec: np.ndarray) -> Optional[Dict[str, np.ndarray]]:
             # The float-parsed field is copied out too, so no column keeps
             # the whole record array alive once the scan returns.
             col = np.ascontiguousarray(col)
+            if not np.isfinite(col).all():
+                return None
         columns[f.name] = col
     return columns
 
@@ -233,16 +237,17 @@ def _loadtxt_attempts(make_source) -> Optional[Dict[str, np.ndarray]]:
     *make_source* returns a fresh loadtxt input (the seeked byte stream)
     per attempt.  ``None`` means the reference scan must decide.
     """
-    try:
-        rec = np.atleast_1d(
-            np.loadtxt(make_source(), dtype=_FAST_DTYPE, comments=None)
-        )
-    except (ValueError, OverflowError):
-        rec = None
-    if rec is not None:
-        columns = _columns_from_record(rec)
-        if columns is not None:
-            return columns
+    if _RECORD_ATTEMPT:
+        try:
+            rec = np.atleast_1d(
+                np.loadtxt(make_source(), dtype=_FAST_DTYPE, comments=None)
+            )
+        except (ValueError, OverflowError):
+            rec = None
+        if rec is not None:
+            columns = _columns_from_record(rec)
+            if columns is not None:
+                return columns
     try:
         data = np.loadtxt(make_source(), dtype=float, comments=None, ndmin=2)
     except ValueError:
@@ -255,13 +260,28 @@ def _loadtxt_attempts(make_source) -> Optional[Dict[str, np.ndarray]]:
         padded = np.full((data.shape[0], len(SWF_FIELDS)), float(MISSING))
         padded[:, : data.shape[1]] = data
         data = padded
-    # NaN propagates through min and max and fails the comparisons, so
-    # only a table holding NaN, an infinity or a huge value looks closer.
-    if data.size and not (_INT64_LOW <= data.min() and data.max() < _INT64_HIGH):
-        ints = data[:, list(_INT_INDICES)]
-        if not (np.all(ints >= _INT64_LOW) and np.all(ints < _INT64_HIGH)):
-            return None  # an int field no int64 holds: the reference names its line
+    if not _holds_swf_values(data):
+        return None  # a value SWF does not allow: the reference names its line
     return {f.name: data[:, f.index] for f in SWF_FIELDS}
+
+
+def _holds_swf_values(data: np.ndarray) -> bool:
+    """Whether a padded float job table holds only values SWF allows.
+
+    :func:`_bad_value`'s rule for a whole table: every value finite, and
+    every int field's value integral and inside int64.
+    """
+    ints = data[:, _INT_INDICES]
+    # An infinity equals its own truncation; NaN does not.
+    if not np.array_equal(ints, np.trunc(ints)):
+        return False
+    # NaN propagates through min and max and fails the comparisons, so
+    # only a table holding an infinity or a huge value looks closer.
+    if not data.size or (_INT64_LOW <= data.min() and data.max() < _INT64_HIGH):
+        return True
+    return bool(
+        np.isfinite(data).all() and _INT64_LOW <= ints.min() and ints.max() < _INT64_HIGH
+    )
 
 
 def _scan_bytes(raw: bytes) -> Optional[Tuple[Dict[str, str], Dict[str, np.ndarray]]]:
@@ -324,150 +344,103 @@ def build_workload(
     columns: Dict[str, np.ndarray],
     *,
     name: Optional[str] = None,
-    machine: Optional[MachineInfo] = None,
-    errors: Sequence[SwfParseError] = (),
-    on_error: str = "raise",
 ) -> Workload:
     """The :class:`Workload` of one :func:`scan_swf` result.
 
-    Without *machine*, the header's processor count (or else the largest
-    observed job size) and ``Computer``/``Note`` lines describe
-    the machine; a header-less log takes its machine name from *name*.
+    The header's processor count (or else the largest observed job size)
+    and ``Computer``/``Note`` lines describe the machine; a header-less
+    log takes its machine name from *name*.
     """
-    if machine is None:
-        procs = None
-        for key in _HEADER_PROCS:
-            if key in headers:
-                try:
-                    procs = int(float(headers[key]))
-                except (ValueError, OverflowError):  # not a number, or infinite
-                    continue
-                break
-        if procs is None:
-            observed = columns["used_procs"]
-            positive = observed[observed > 0]
-            procs = int(positive.max()) if positive.size else 1
-        machine = MachineInfo(
-            name=headers.get("computer", name or "swf"),
-            processors=max(procs, 1),
-            description=headers.get("note", ""),
-        )
-    if name is None:
-        name = headers.get("computer", machine.name)
-    workload = Workload(columns, machine, name)
-    if on_error == "quarantine":
-        workload.parse_errors = tuple(errors)
-    return workload
+    procs = None
+    for key in _HEADER_PROCS:
+        if key in headers:
+            try:
+                procs = int(float(headers[key]))
+            except (ValueError, OverflowError):  # not a number, or infinite
+                continue
+            break
+    if procs is None:
+        observed = columns["used_procs"]
+        positive = observed[observed > 0]
+        procs = int(positive.max()) if positive.size else 1
+    machine = MachineInfo(
+        name=headers.get("computer", name or "swf"),
+        processors=max(procs, 1),
+        description=headers.get("note", ""),
+    )
+    return Workload(columns, machine, machine.name if name is None else name)
 
 
 def scan_swf(
-    raw: Optional[bytes],
-    text: Optional[str] = None,
-    *,
-    on_error: str = "raise",
-) -> Tuple[Dict[str, str], Dict[str, np.ndarray], List[SwfParseError]]:
-    """The one SWF scan: headers, columns and parse errors of a whole log.
+    raw: Optional[bytes], text: Optional[str] = None
+) -> Tuple[Dict[str, str], Dict[str, np.ndarray]]:
+    """The one SWF scan: headers and columns of a whole log.
 
     The bulk byte scan, else the per-line reference scan, inside one
     ``swf.parse`` span.  *raw* is the whole decompressed content; *text*
     is its decoded form when the caller already holds it.  A string
     UTF-8 cannot encode (a lone surrogate) arrives as ``raw=None`` and
     goes straight to the reference scan.  Header keys are lowercased,
-    and every column holds one SWF field as the scan parsed it.  Under
-    ``on_error="raise"`` a malformed line (or bytes that are not UTF-8)
-    raises ``ValueError``, naming the line when it is a malformed one.
+    and every column holds one SWF field as the scan parsed it.  A
+    malformed line (or bytes that are not UTF-8) raises ``ValueError``,
+    naming the line when it is a malformed one.
     """
-    if on_error not in _ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
-        )
-    errors: List[SwfParseError] = []
-    with obs_span("swf.parse", on_error=on_error) as _sp:
-        fast = None if raw is None else _scan_bytes(raw)
-        if fast is not None:
-            headers, columns = fast
-        else:
-            if text is None:
-                text = raw.decode("utf-8")
-            headers, columns, errors = _scan_reference(text, on_error)
-        _sp.set(
-            jobs=int(columns["job_id"].shape[0]),
-            bad_lines=len(errors),
-            fast=fast is not None,
-        )
-    return headers, columns, errors
+    with obs_span("swf.parse") as _sp:
+        scanned = None if raw is None else _scan_bytes(raw)
+        fast = scanned is not None
+        if not fast:
+            scanned = _scan_reference(raw.decode("utf-8") if text is None else text)
+        headers, columns = scanned
+        _sp.set(jobs=int(columns["job_id"].shape[0]), fast=fast)
+    return headers, columns
 
 
-def _parse(
-    raw: Optional[bytes],
-    text: Optional[str],
-    name: Optional[str],
-    machine: Optional[MachineInfo],
-    on_error: str,
-) -> Workload:
+def _parse(raw: Optional[bytes], text: Optional[str], name: Optional[str]) -> Workload:
     """The one SWF parse: :func:`scan_swf`, then :func:`build_workload`."""
-    headers, columns, errors = scan_swf(raw, text, on_error=on_error)
-    return build_workload(
-        headers, columns, name=name, machine=machine, errors=errors, on_error=on_error
-    )
+    return build_workload(*scan_swf(raw, text), name=name)
 
 
-def parse_swf_text(
-    text: str,
-    *,
-    name: Optional[str] = None,
-    machine: Optional[MachineInfo] = None,
-    on_error: str = "raise",
-) -> Workload:
+def parse_swf_text(text: str, *, name: Optional[str] = None) -> Workload:
     """Parse SWF content from a string.
 
     Parameters
     ----------
     text:
-        The file contents.
+        The file contents.  A malformed job line raises ``ValueError``
+        naming its line number.
     name:
         Workload display name; defaults to the header's ``Computer`` field
-        or ``"swf"``.
-    machine:
-        Overrides machine metadata inferred from the header.  Without a
-        header ``MaxProcs`` line and without *machine*, the processor count
-        falls back to the maximum observed job size.
-    on_error:
-        Malformed-line policy: ``"raise"`` (default) fails on the first
-        bad job line, ``"skip"`` drops bad lines, ``"quarantine"`` drops
-        them and records each on ``workload.parse_errors`` for the
-        anomaly audit.
+        or ``"swf"``.  Without a header ``MaxProcs`` line, the processor
+        count falls back to the maximum observed job size.
     """
     try:
         raw: Optional[bytes] = text.encode("utf-8")
     except UnicodeEncodeError:
         raw = None
-    return _parse(raw, text, name, machine, on_error)
+    return _parse(raw, text, name)
 
 
 def read_swf(
     path: Union[str, os.PathLike, TextIO, BinaryIO],
     *,
     name: Optional[str] = None,
-    machine: Optional[MachineInfo] = None,
-    on_error: str = "raise",
 ) -> Workload:
     """Read a workload from an SWF file path or an open text or binary file.
 
     Gzip-compressed content is handled transparently (the Parallel
     Workloads Archive distributes its logs as ``.swf.gz``), detected by
     the gzip magic bytes rather than the extension, for a path and a
-    binary file alike.  *on_error* is the malformed-line policy of
+    binary file alike.  A malformed job line raises ``ValueError`` as in
     :func:`parse_swf_text`.
     """
     if hasattr(path, "read"):
         content = path.read()
         if isinstance(content, str):
-            return parse_swf_text(content, name=name, machine=machine, on_error=on_error)
+            return parse_swf_text(content, name=name)
         raw = _gunzip(content)
     else:
         raw = _read_raw_bytes(path)
-    return _parse(raw, None, name, machine, on_error)
+    return _parse(raw, None, name)
 
 
 def _read_raw_bytes(path: Union[str, os.PathLike]) -> bytes:

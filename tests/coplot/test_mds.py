@@ -185,8 +185,6 @@ class TestSmacof:
         d = pairwise_euclidean(random_config(5, 2))
         with pytest.raises(ValueError, match="transform"):
             smacof(d, transform="bogus")
-        with pytest.raises(ValueError, match="select_by"):
-            smacof(d, select_by="magic")
         with pytest.raises(ValueError, match="n_init"):
             smacof(d, n_init=0)
         with pytest.raises(ValueError, match="dim"):

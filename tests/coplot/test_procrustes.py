@@ -33,13 +33,6 @@ class TestAlign:
         aligned = procrustes_align(ref, target)
         assert np.allclose(aligned, ref, atol=1e-8)
 
-    def test_no_scaling_mode(self, rng):
-        ref = rng.normal(size=(6, 2))
-        target = 3.0 * ref
-        aligned = procrustes_align(ref, target, allow_scaling=False)
-        # Without scaling the 3x blowup cannot be removed.
-        assert not np.allclose(aligned, ref, atol=1e-3)
-
     def test_degenerate_target(self, rng):
         ref = rng.normal(size=(5, 2))
         aligned = procrustes_align(ref, np.zeros((5, 2)))

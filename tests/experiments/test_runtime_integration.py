@@ -191,13 +191,6 @@ class TestExitCodes:
 
 
 class TestRegistry:
-    def test_registry_covers_back_compat_mapping(self):
-        from repro.experiments import EXPERIMENTS
-
-        assert set(EXPERIMENTS) == set(REGISTRY)
-        for exp_id, fn in EXPERIMENTS.items():
-            assert REGISTRY[exp_id].run is fn
-
     def test_registry_validates(self):
         validate_registry()
 

@@ -14,51 +14,31 @@ from io import StringIO
 from typing import Dict, Optional, TextIO, Union
 
 from repro.workload.swf import (
-    _ON_ERROR_POLICIES,
     build_workload,
     _merged_headers,
     _read_raw_bytes,
     _render_rows_reference,
     _scan_reference,
 )
-from repro.workload.workload import MachineInfo, Workload
+from repro.workload.workload import Workload
 
 __all__ = ["parse_swf_text_reference", "read_swf_reference", "render_swf_text_reference"]
 
 
-def parse_swf_text_reference(
-    text: str,
-    *,
-    name: Optional[str] = None,
-    machine: Optional[MachineInfo] = None,
-    on_error: str = "raise",
-) -> Workload:
+def parse_swf_text_reference(text: str, *, name: Optional[str] = None) -> Workload:
     """``parse_swf_text`` on the per-line scan, always."""
-    if on_error not in _ON_ERROR_POLICIES:
-        raise ValueError(
-            f"on_error must be one of {', '.join(_ON_ERROR_POLICIES)}; got {on_error!r}"
-        )
-    headers, columns, errors = _scan_reference(text, on_error)
-    return build_workload(
-        headers, columns, name=name, machine=machine, errors=errors, on_error=on_error
-    )
+    return build_workload(*_scan_reference(text), name=name)
 
 
 def read_swf_reference(
-    path: Union[str, os.PathLike, TextIO],
-    *,
-    name: Optional[str] = None,
-    machine: Optional[MachineInfo] = None,
-    on_error: str = "raise",
+    path: Union[str, os.PathLike, TextIO], *, name: Optional[str] = None
 ) -> Workload:
     """``read_swf`` on the per-line scan, always: file bytes -> text ->
     per-line ``float()`` parse."""
     if hasattr(path, "read"):
-        return parse_swf_text_reference(
-            path.read(), name=name, machine=machine, on_error=on_error
-        )
+        return parse_swf_text_reference(path.read(), name=name)
     text = _read_raw_bytes(path).decode("utf-8")
-    return parse_swf_text_reference(text, name=name, machine=machine, on_error=on_error)
+    return parse_swf_text_reference(text, name=name)
 
 
 def render_swf_text_reference(

@@ -1,11 +1,20 @@
 """Executor <-> metrics registry integration: counters mirror outcomes."""
 
+import time
+
+import pytest
+
 from repro.obs import MetricsRegistry
 from repro.runtime import DagExecutor, TaskSpec, TaskStatus
 
 
 def add(a, b):
     return a + b
+
+
+def snooze(seconds):
+    time.sleep(seconds)
+    return seconds
 
 
 def boom():
@@ -42,6 +51,20 @@ class TestExecutorMetrics:
         assert metrics.counter("tasks_failed_total") == 1
         assert metrics.counter("tasks_skipped_total") == 1
         assert metrics.counter("retries_total") == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["inline", "parallel"])
+    def test_timeouts_counted_and_emitted_in_both_modes(self, jobs):
+        metrics = MetricsRegistry()
+        events = []
+        executor = DagExecutor(
+            jobs=jobs, metrics=metrics, on_event=lambda kind, **f: events.append((kind, f))
+        )
+        results = executor.run(
+            [TaskSpec(id="slow", fn=snooze, kwargs={"seconds": 0.3}, timeout=0.05)]
+        )
+        assert results["slow"].status is TaskStatus.TIMEOUT
+        assert metrics.counter("timeouts_total") == 1
+        assert events == [("timeout", {"task": "slow", "attempt": 1, "timeout_s": 0.05})]
 
     def test_no_registry_is_fine(self):
         results = DagExecutor(jobs=1).run([TaskSpec(id="a", fn=add, kwargs={"a": 1, "b": 1})])

@@ -13,7 +13,13 @@ import pytest
 
 from repro.service import store as store_module
 from repro.service.errors import ServiceError
-from repro.service.store import JOBS_JOURNAL_NAME, JobStore, decode_upload, load_upload
+from repro.service.store import (
+    JOBS_JOURNAL_NAME,
+    UPLOADS_DIR_NAME,
+    JobStore,
+    decode_upload,
+    load_upload,
+)
 from repro.workload.fields import FIELD_NAMES
 from repro.workload.swf import SCAN_VERSION, read_swf, scan_swf
 
@@ -248,7 +254,7 @@ class TestUploads:
     def test_spool_loads_to_what_read_swf_reads(self, tmp_path):
         store = JobStore(str(tmp_path))
         digest, raw = decode_upload(self.LOG)
-        headers, columns, _ = scan_swf(raw)
+        headers, columns = scan_swf(raw)
         assert not store.has_upload(digest)
         store.spool_upload(digest, headers, columns)
         assert store.has_upload(digest)
@@ -273,12 +279,31 @@ class TestUploads:
     def test_a_scan_of_another_version_is_not_spooled(self, tmp_path, monkeypatch):
         store = JobStore(str(tmp_path))
         digest, raw = decode_upload(self.LOG)
-        store.spool_upload(digest, *scan_swf(raw)[:2])
+        store.spool_upload(digest, *scan_swf(raw))
         monkeypatch.setattr(store_module, "SCAN_VERSION", SCAN_VERSION + 1)
         assert not store.has_upload(digest)
         with pytest.raises(ServiceError) as err:
             load_upload(store.uploads_dir, digest, name="upload")
         assert err.value.code == "result_evicted"
+
+    def test_opening_a_state_dir_deletes_spool_files_no_server_loads(self, tmp_path):
+        uploads = tmp_path / UPLOADS_DIR_NAME
+        uploads.mkdir()
+        scanned, unscanned = "a" * 64, hashlib.sha256(self.LOG).hexdigest()
+        keep = {f"{scanned}.scan{SCAN_VERSION}.npz", f"{unscanned}.swf"}
+        gone = {
+            f"{scanned}.scan{SCAN_VERSION - 1}.npz",  # another scan version
+            f"{scanned}.swf",  # a log whose current-version scan exists
+            "tmpq3v9x_1c.tmp",  # a spool write a crash cut short
+        }
+        for name in keep | gone:
+            (uploads / name).write_bytes(self.LOG)
+        store = JobStore(str(tmp_path))
+        assert set(os.listdir(uploads)) == keep
+        # A recovered job still loads the log that has no current scan.
+        got = load_upload(store.uploads_dir, unscanned, name="U1")
+        want = read_swf(io.BytesIO(self.LOG), name="U1")
+        assert got.column("run_time").tolist() == want.column("run_time").tolist()
 
     def test_failed_spool_write_leaves_nothing(self, tmp_path):
         class UnreadableColumn:
@@ -287,7 +312,7 @@ class TestUploads:
 
         store = JobStore(str(tmp_path))
         digest, raw = decode_upload(self.LOG)
-        headers, columns, _ = scan_swf(raw)
+        headers, columns = scan_swf(raw)
         # The last member fails after the archive's others are on disk.
         columns["think_time"] = UnreadableColumn()
         with pytest.raises(OSError, match="data is gone"):

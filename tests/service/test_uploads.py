@@ -42,14 +42,20 @@ _DECIMAL = st.builds(lambda i, f: f"{i}.{f:02d}", st.integers(0, 10**5), st.inte
 #: At or past 2**53, where float64 rounds and the int64 bulk parse must
 #: give way to the float one; up to 2**64, past what an int field holds.
 _HUGE = st.integers(2**53, 2**64).map(str)
-_TOKEN = st.one_of(*[_INT] * 6, _DECIMAL, _HUGE)
+#: Decimals only where SWF has a float field; a fraction in an int field
+#: comes from ``_BAD_LINE``.
+_FIELD_TOKENS = [
+    st.one_of(*[_INT] * 6, _DECIMAL, _HUGE) if f.dtype == "float" else st.one_of(*[_INT] * 7, _HUGE)
+    for f in SWF_FIELDS
+]
 _HEADER = st.one_of(
     st.integers(1, 4096).map(lambda n: f"; MaxProcs: {n}"),
     st.sampled_from(["; Computer: Test SP2", "; Note: a generated log", "; Version: 2.2"]),
 )
 _BAD_LINE = st.one_of(
     st.lists(_INT, min_size=19, max_size=21).map(" ".join),  # more fields than SWF has
-    st.sampled_from(["1 0 0 10 inf", "1 nan 0 10 4", "1 0 0 10 4 -inf"]),  # non-finite
+    st.sampled_from(["1 0 0 10 inf", "1 nan 0 10 4", "1 0 0 10 4 -inf", "1 0 0 inf 4"]),  # non-finite
+    st.sampled_from(["1 0 0 10 4.5", "1.5 0 0 10 4", "1 0 0 10 -0.5"]),  # a fraction in an int field
     st.tuples(st.lists(_INT, max_size=4), st.sampled_from(["abc", "1.2.3", "--1", "12a"])).map(
         lambda t: " ".join(t[0] + [t[1]])
     ),
@@ -67,7 +73,7 @@ def upload_bodies(draw):
     ragged = draw(st.integers(0, 3)) == 0
     for _ in range(draw(st.integers(1, 8))):
         w = draw(st.integers(1, len(SWF_FIELDS))) if ragged else width
-        lines.append(" ".join(draw(st.lists(_TOKEN, min_size=w, max_size=w))))
+        lines.append(" ".join(draw(_FIELD_TOKENS[i]) for i in range(w)))
     if draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(first_job + 1, len(lines))), "; a comment mid-file")
     if draw(st.integers(0, 3)) == 0:
@@ -206,13 +212,22 @@ class TestRejections:
             ({"kind": "coplot"}, b"1 0 0 10 4\n2 0 oops\n", "bad_swf"),
             ({"kind": "coplot"}, b"1 0 0 10 4\n2 5 0 10 inf\n", "bad_swf"),
             ({"kind": "coplot"}, b"1 0 0 10 4\n2 5 0 10 9223372036854775808\n", "bad_swf"),
+            ({"kind": "coplot"}, b"1 0 0 10 4\n2 5 0 10 4.5\n", "bad_swf"),
+            ({"kind": "coplot"}, b"1 0 0 10 4\n2 5 0 inf 4\n", "bad_swf"),
             ({"kind": "coplot"}, gzip.compress(b"1 0 0 10 4\n")[:-6], "bad_swf"),
             ({"kind": "coplot"}, b" \r\n\t\n", "bad_swf"),
             # A bad spec is refused before the (also bad) log is scanned.
             ({"kind": "nope"}, b"2 0 oops\n", "invalid_spec"),
         ],
         ids=[
-            "malformed", "infinite-size", "size-past-int64", "truncated-gzip", "blank", "bad-spec"
+            "malformed",
+            "infinite-size",
+            "size-past-int64",
+            "fractional-size",
+            "infinite-run-time",
+            "truncated-gzip",
+            "blank",
+            "bad-spec",
         ],
     )
     def test_a_rejected_upload_leaves_nothing(self, tmp_path, doc, body, code):
@@ -238,6 +253,24 @@ class TestRejections:
         assert err.value.body()["error"]["message"] == f"malformed SWF upload: {message}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_swf(io.BytesIO(body))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"1 0 0 10 4\n2 5 0 10 4.5\n", "line 2: used_procs 4.5 is not an integer"),
+            (b"1 0 0 10 4\n2 5 0 inf 4\n", "line 2: run_time inf is not finite"),
+        ],
+        ids=["fractional-size", "infinite-run-time"],
+    )
+    def test_a_value_swf_does_not_define_names_its_line(self, tmp_path, body, message):
+        app = ServiceApp(str(tmp_path / "state"), workers=1)
+        try:
+            with pytest.raises(ServiceError) as err:
+                app.submit({"kind": "coplot"}, upload_body=body)
+        finally:
+            app.close()
+        assert err.value.status == 400
+        assert err.value.body()["error"]["message"] == f"malformed SWF upload: {message}"
 
     def test_an_infinite_machine_size_header_is_read_not_crashed_on(self, tmp_path):
         # float("1e999") is inf: the header's size must not overflow int()

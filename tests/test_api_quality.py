@@ -124,19 +124,19 @@ class TestSinglePath:
 
 class TestExperimentRegistry:
     def test_registry_matches_docs(self):
-        from repro.experiments import EXPERIMENTS
+        from repro.experiments import REGISTRY
 
         doc = importlib.import_module("repro.experiments").__doc__
-        for exp_id in EXPERIMENTS:
+        for exp_id in REGISTRY:
             assert exp_id in doc, f"experiment {exp_id} undocumented in package doc"
 
     def test_every_experiment_produces_renderable_result(self):
         """The runner contract: each run_* returns something with render()
         and (directly or callably) claims."""
-        from repro.experiments import EXPERIMENTS
+        from repro.experiments import REGISTRY
 
-        for exp_id, fn in EXPERIMENTS.items():
-            sig = inspect.signature(fn)
+        for exp_id, spec in REGISTRY.items():
+            sig = inspect.signature(spec.run)
             assert all(
                 p.default is not inspect.Parameter.empty
                 or p.kind is inspect.Parameter.VAR_KEYWORD

@@ -47,12 +47,9 @@ class TestCheckPositive:
         with pytest.raises(ValueError):
             check_positive(0.0)
 
-    def test_zero_ok_non_strict(self):
-        assert check_positive(0.0, strict=False) == 0.0
-
-    def test_rejects_negative_non_strict(self):
-        with pytest.raises(ValueError):
-            check_positive(-1.0, strict=False)
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="must be > 0"):
+            check_positive(-1.0)
 
 
 class TestCheckProbability:

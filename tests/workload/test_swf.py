@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.workload import (
-    MachineInfo,
     Workload,
     parse_swf_text,
     read_swf,
@@ -71,11 +70,6 @@ class TestParse:
         w = parse_swf_text("1 0 0 10 32\n2 5 0 10 64\n")
         assert w.machine.processors == 64
 
-    def test_explicit_machine_overrides(self):
-        m = MachineInfo("forced", 999)
-        w = parse_swf_text(SAMPLE, machine=m)
-        assert w.machine.processors == 999
-
     def test_name_defaults_to_computer_header(self):
         w = parse_swf_text(SAMPLE)
         assert w.name == "Test SP2"
@@ -132,58 +126,41 @@ MALFORMED = """\
 """
 
 
-class TestOnError:
-    def test_default_policy_raises_with_line_number(self):
+class TestBadLines:
+    def test_raises_with_line_number(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_swf_text(MALFORMED)
 
-    def test_skip_drops_bad_lines(self):
-        w = parse_swf_text(MALFORMED, on_error="skip")
-        assert len(w) == 2
-        assert np.array_equal(w.column("job_id"), [1, 3])
-        assert not hasattr(w, "parse_errors")
-
-    def test_quarantine_records_errors_on_workload(self):
-        w = parse_swf_text(MALFORMED, on_error="quarantine")
-        assert len(w) == 2
-        assert len(w.parse_errors) == 1
-        err = w.parse_errors[0]
-        assert err.lineno == 3
-        assert "non-numeric" in err.reason
-        assert err.line == "2 0 abc"
-
-    def test_quarantine_flags_too_many_fields(self):
-        text = " ".join(["9"] * 19) + "\n1 0 5 100 4\n"
-        w = parse_swf_text(text, on_error="quarantine")
-        assert len(w) == 1
-        assert "19 fields" in w.parse_errors[0].reason
-
-    def test_quarantined_errors_reach_the_audit(self):
-        from repro.workload.anomalies import audit_workload
-
-        w = parse_swf_text(MALFORMED, on_error="quarantine")
-        report = audit_workload(w)
-        assert report.parse_errors == w.parse_errors
-        assert not report.is_clean
-        assert "1 unparsable line(s)" in report.summary()
-
-    def test_clean_parse_keeps_audit_clean_of_parse_errors(self):
-        from repro.workload.anomalies import audit_workload
-
-        w = parse_swf_text(SAMPLE, on_error="quarantine")
-        assert w.parse_errors == ()
-        assert audit_workload(w).parse_errors == ()
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError, match="on_error"):
-            parse_swf_text(SAMPLE, on_error="ignore")
-
-    def test_read_swf_threads_policy(self, tmp_path):
+    def test_read_swf_raises_with_line_number(self, tmp_path):
         path = tmp_path / "log.swf"
         path.write_text(MALFORMED)
-        w = read_swf(path, on_error="skip")
-        assert len(w) == 2
-        with pytest.raises(ValueError, match="line 3"):
+        with pytest.raises(ValueError, match="^line 3: non-numeric"):
+            read_swf(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.5 0 0 10 4\n", "line 1: job_id 1.5 is not an integer"),
+            ("1 0 0 10 4\n2 1 0 10 4.7\n", "line 2: used_procs 4.7 is not an integer"),
+            ("1 0 0 10 4\n2 1 0 10 -0.5\n", "line 2: used_procs -0.5 is not an integer"),
+        ],
+    )
+    def test_a_fraction_in_an_int_field_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_swf_text(text)
+
+    def test_an_infinite_run_time_names_its_line(self, tmp_path):
+        from repro.archive.synthesize import synthesize_workload
+
+        text = render_swf_text(synthesize_workload("CTC", n_jobs=500, seed=3))
+        lines = text.split("\n")
+        first_job = next(i for i, line in enumerate(lines) if not line.startswith(";"))
+        row = lines[first_job + 100].split()
+        row[3] = "inf"
+        lines[first_job + 100] = " ".join(row)
+        path = tmp_path / "ctc.swf"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ValueError, match=f"^line {first_job + 101}: run_time inf is not finite$"):
             read_swf(path)
 
 
@@ -198,17 +175,21 @@ class TestScanVersion:
     """
 
     #: Each path and rule of the scan: header keys, the int64 and float
-    #: bulk tables, padding, values past 2**53, the per-line scan, and the
-    #: rejections (a token, an int value no int64 holds).
+    #: bulk tables, padding, values past 2**53, integral floats in an int
+    #: field, the per-line scan, and the rejections (a token, a
+    #: non-finite value, an int value no int64 holds, a fraction in an
+    #: int field).
     CORPUS = (
         SAMPLE,
         "; Computer: A\n; maxprocs: 64\n1 0 5 100 4 90.5 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n",
         "1 0 5\n2 10.25 0\n",
         "1 9007199254740993 5 100 4\n2 3 5 100 4\n",
+        "1 0.5 5 100 4.0\n2 1 5 100 1e3\n",
         "1 0 5 100 4\n; mid-file\n2 1 5 100 4\r\n",
         "1 inf 5 100 4 nan\n",
         "1 0 5 100 inf\n",
         "1 0 5 100 9223372036854775808\n",
+        "1 0 5 100 4.5\n",
         "1 0 oops\n",
     )
 
@@ -216,7 +197,7 @@ class TestScanVersion:
         digest = hashlib.sha256()
         for text in self.CORPUS:
             try:
-                headers, columns, _ = scan_swf(text.encode())
+                headers, columns = scan_swf(text.encode())
             except ValueError:
                 digest.update(b"rejected\0")
                 continue
@@ -227,7 +208,7 @@ class TestScanVersion:
         return digest.hexdigest()
 
     #: ``SCAN_VERSION`` and the digest of the corpus's scan at it.
-    PINNED = (1, "79055d747f3c87b8630e2e37cb6cdc07f92149a3659f1c4c2f10f18770d0081b")
+    PINNED = (2, "0e0fddff8dd0210e6c0c88c419cda992268680eb84bf96ed31a3b529136986a0")
 
     def test_the_scan_of_a_fixed_corpus_is_pinned_to_the_version(self):
         assert (SCAN_VERSION, self._digest()) == self.PINNED

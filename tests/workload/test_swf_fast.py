@@ -2,8 +2,8 @@
 
 The bulk loadtxt path must be invisible: every input either parses to
 bit-identical columns or falls back to the per-line reference scan, so
-``on_error`` semantics, ``SwfParseError`` line numbers and short-record
-padding are preserved exactly.  These tests drive both scanners over
+error messages, their line numbers and short-record padding are
+preserved exactly.  These tests drive both scanners over
 clean, malformed and adversarial inputs and demand equality — plus a
 guarantee that the fast path actually engages on clean logs (otherwise
 the benchmark claim is hollow).
@@ -26,6 +26,7 @@ from repro.workload.swf import (
     render_swf_text,
     write_swf,
 )
+from repro.workload.workload import MachineInfo, Workload
 
 from oracles.swf import (
     parse_swf_text_reference,
@@ -60,7 +61,6 @@ def _assert_same_workload(a, b):
     assert a.machine.name == b.machine.name
     assert a.machine.processors == b.machine.processors
     assert a.name == b.name
-    assert getattr(a, "parse_errors", ()) == getattr(b, "parse_errors", ())
 
 
 def _parse_spans(parse):
@@ -74,11 +74,28 @@ def _parse_spans(parse):
     return [r for r in sink.records if r.get("name") == "swf.parse"]
 
 
-def _assert_equivalent(text, **kwargs):
-    got = parse_swf_text(text, **kwargs)
-    want = parse_swf_text_reference(text, **kwargs)
+def _assert_equivalent(text):
+    got = parse_swf_text(text)
+    want = parse_swf_text_reference(text)
     _assert_same_workload(got, want)
     return got
+
+
+def _assert_rejected(parse, reference, lineno):
+    """*parse* and *reference* raise one message, naming line *lineno*."""
+    with pytest.raises(ValueError) as fast_exc:
+        parse()
+    with pytest.raises(ValueError) as ref_exc:
+        reference()
+    assert str(fast_exc.value) == str(ref_exc.value)
+    assert str(fast_exc.value).startswith(f"line {lineno}: ")
+    return str(fast_exc.value)
+
+
+def _assert_text_rejected(text, lineno):
+    return _assert_rejected(
+        lambda: parse_swf_text(text), lambda: parse_swf_text_reference(text), lineno
+    )
 
 
 class TestFastPathEngages:
@@ -136,28 +153,25 @@ class TestCleanEquivalence:
 
 
 class TestFallbackEquivalence:
-    @pytest.mark.parametrize("policy", ["skip", "quarantine"])
-    def test_malformed_matches_reference(self, policy):
-        w = _assert_equivalent(MALFORMED, on_error=policy)
-        if policy == "quarantine":
-            assert [e.lineno for e in w.parse_errors] == [3]
-
     def test_raise_message_identical(self):
-        with pytest.raises(ValueError) as fast_exc:
-            parse_swf_text(MALFORMED)
-        with pytest.raises(ValueError) as ref_exc:
-            parse_swf_text_reference(MALFORMED)
-        assert str(fast_exc.value) == str(ref_exc.value)
+        message = _assert_text_rejected(MALFORMED, 3)
+        assert "non-numeric" in message
+
+    def test_ragged_lines_name_their_line(self):
+        text = CLEAN + "4 0 1 2 3\n5 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18\n"
+        assert _scan_bytes(text.encode()) is None
+        assert "20 fields" in _assert_text_rejected(text, 8)
 
     def test_too_many_fields_line_numbers(self):
         text = CLEAN + "4 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17\n"
-        w = _assert_equivalent(text, on_error="quarantine")
-        assert [e.lineno for e in w.parse_errors] == [7]
+        assert "19 fields" in _assert_text_rejected(text, 7)
 
     def test_mid_file_comment_falls_back(self):
         text = CLEAN.replace("3 90 12", "; a comment mid-file\n3 90 12")
         assert _scan_bytes(text.encode()) is None
         _assert_equivalent(text)
+        # The comment counts as a line of the numbering.
+        _assert_text_rejected(text + "4 0 abc\n", 8)
 
     @pytest.mark.parametrize("sep", ["\v", "\f", "\x85", " ", " ", "\r"])
     def test_exotic_line_breaks_fall_back(self, sep):
@@ -165,19 +179,33 @@ class TestFallbackEquivalence:
         # of them as field separators, so the fast scan must decline.
         text = f"; MaxProcs: 8\n1 0 5 100 4{sep}2 10 6 90 2\n"
         assert _scan_bytes(text.encode()) is None
-        _assert_equivalent(text, on_error="quarantine")
+        _assert_equivalent(text)
+        # splitlines' numbering counts the break as a line end.
+        _assert_text_rejected(text + "3 0 abc\n", 4)
 
     def test_exotic_break_in_header_falls_back(self):
         text = "; Note: a b\n1 0 5 100 4 -1 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n"
         assert _scan_bytes(text.encode()) is None
-        _assert_equivalent(text, on_error="quarantine")
+        # splitlines cuts the note, and its tail "b" is a job line.
+        assert "non-numeric" in _assert_text_rejected(text, 2)
+
+    #: The tokens of the test below that a scan refuses, and why.
+    _REFUSED = {
+        "0x1A": "non-numeric field",
+        "nan": "submit_time nan is not finite",
+        "inf": "submit_time inf is not finite",
+        "-inf": "submit_time -inf is not finite",
+    }
 
     @pytest.mark.parametrize(
         "token", ["1_0", "0x1A", "nan", "inf", "-inf", "+5", "1e3"]
     )
     def test_odd_numeric_tokens_match(self, token):
         text = f"; MaxProcs: 8\n1 {token} 5 100 4 -1 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n"
-        _assert_equivalent(text, on_error="quarantine")
+        if token in self._REFUSED:
+            assert self._REFUSED[token] in _assert_text_rejected(text, 2)
+        else:
+            _assert_equivalent(text)
 
     @pytest.mark.parametrize(
         "token",
@@ -188,13 +216,46 @@ class TestFallbackEquivalence:
         # A uniform float table, so the bulk scan is tried first and must
         # decline in favour of the line the reference scan names.
         text = f"; MaxProcs: 8\n1 0.5 5 100 4\n2 1.5 5 100 {token}\n3 2.5 5 100 4\n"
-        w = _assert_equivalent(text, on_error="quarantine")
-        assert [e.lineno for e in w.parse_errors] == [3]
-        assert w.column("job_id").tolist() == [1, 3]
-        message = f"line 3: used_procs {token} does not fit an int64"
-        for parse in (parse_swf_text, parse_swf_text_reference):
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                parse(text)
+        message = _assert_text_rejected(text, 3)
+        assert message == f"line 3: used_procs {token} does not fit an int64"
+
+    @pytest.mark.parametrize("token", ["4.5", "-0.5", "0.001", "4.000001", "1e-3"])
+    @pytest.mark.parametrize(
+        "table",
+        [CLEAN, CLEAN.replace("2 60 0 200 8", "2 60 0 200.5 8")],
+        ids=["int-table", "float-table"],
+    )
+    def test_fractional_int_values_are_bad_lines(self, token, table):
+        text = table.replace("3 90 12 50 2", f"3 90 12 50 {token}")
+        message = _assert_text_rejected(text, 6)
+        assert message == f"line 6: used_procs {token} is not an integer"
+
+    @pytest.mark.parametrize("token", ["4.0", "4.", "1e3", "-1.0"])
+    def test_integral_floats_in_int_fields_are_read(self, token):
+        text = f"1 0 5 100 4\n2 1 5 100 {token}\n"
+        w = _assert_equivalent(text)
+        assert w.column("used_procs").tolist() == [4, int(float(token))]
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("field", [1, 3, 5, 17], ids=lambda i: SWF_FIELDS[i].name)
+    def test_non_finite_values_are_bad_lines(self, token, field):
+        # An all-int table with a float avg_cpu_time takes the int64
+        # record attempt first; the other float fields need the matrix.
+        row = "2 60 0 200 8 7.5 -1 8 -1 -1 0 4 1 8 1 -1 -1 -1".split()
+        row[field] = token
+        text = CLEAN + " ".join(row) + "\n"
+        message = _assert_text_rejected(text, 7)
+        assert message == f"line 7: {SWF_FIELDS[field].name} {token} is not finite"
+
+    def test_float_matrix_alone_rejects_what_the_record_attempt_would(self, monkeypatch):
+        # Where loadtxt reads a fraction into an int64 field (NumPy
+        # releases with the 1.23 deprecation), the record attempt is off
+        # and the float matrix must catch every bad value itself.
+        monkeypatch.setattr(swf, "_RECORD_ATTEMPT", False)
+        assert _scan_bytes(CLEAN.encode()) is not None
+        for bad in ("4.5", "nan", "inf", "9223372036854775808"):
+            text = CLEAN.replace("3 90 12 50 2", f"3 90 12 50 {bad}")
+            assert _scan_bytes(text.encode()) is None, bad
 
     @pytest.mark.filterwarnings("error:invalid value encountered in cast:RuntimeWarning")
     def test_int64_range_ends_are_read(self):
@@ -207,8 +268,7 @@ class TestFallbackEquivalence:
         # A lone surrogate has no UTF-8 form: the text goes straight to
         # the per-line scan, which reports the line like any bad token.
         text = CLEAN.replace("33.25", "33.25\ud800")
-        w = _assert_equivalent(text, on_error="quarantine")
-        assert [e.lineno for e in w.parse_errors] == [6]
+        assert "non-numeric" in _assert_text_rejected(text, 6)
 
 
 class TestFileIngest:
@@ -237,8 +297,12 @@ class TestFileIngest:
             raw = gzip.compress(raw)
         path = tmp_path / "log.swf"
         path.write_bytes(raw)
-        got = read_swf(io.BytesIO(raw), on_error="quarantine")
-        _assert_same_workload(got, read_swf_reference(str(path), on_error="quarantine"))
+        if text == MALFORMED:
+            _assert_rejected(
+                lambda: read_swf(io.BytesIO(raw)), lambda: read_swf_reference(str(path)), 3
+            )
+        else:
+            _assert_same_workload(read_swf(io.BytesIO(raw)), read_swf_reference(str(path)))
 
     def test_parse_span_times_the_scan(self, tmp_path, monkeypatch):
         """The ``swf.parse`` span encloses the bulk scan of a file."""
@@ -255,13 +319,10 @@ class TestFileIngest:
         assert record["fast"] is True
         assert record["wall_s"] >= 0.05
 
-    def test_malformed_file_quarantine(self, tmp_path):
+    def test_malformed_file_names_its_line(self, tmp_path):
         path = tmp_path / "bad.swf"
         path.write_text(MALFORMED)
-        got = read_swf(str(path), on_error="quarantine")
-        want = read_swf_reference(str(path), on_error="quarantine")
-        _assert_same_workload(got, want)
-        assert [e.lineno for e in got.parse_errors] == [3]
+        _assert_rejected(lambda: read_swf(str(path)), lambda: read_swf_reference(str(path)), 3)
 
     def test_bom_falls_back_but_matches(self, tmp_path):
         # A BOM makes line 1 unparseable for the reference scan too; the
@@ -270,10 +331,7 @@ class TestFileIngest:
         assert _scan_bytes(raw) is None
         path = tmp_path / "bom.swf"
         path.write_bytes(raw)
-        got = read_swf(str(path), on_error="quarantine")
-        want = read_swf_reference(str(path), on_error="quarantine")
-        _assert_same_workload(got, want)
-        assert got.parse_errors[0].lineno == 1
+        _assert_rejected(lambda: read_swf(str(path)), lambda: read_swf_reference(str(path)), 1)
 
 
 class TestRenderEquivalence:
@@ -293,12 +351,14 @@ class TestRenderEquivalence:
         # 5e18 exceeds the fast renderer's integer-printf range, forcing
         # the scalar fallback; output must still match the reference.
         text = "; MaxProcs: 8\n1 5e18 5 100 4 -1 -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n"
-        w = parse_swf_text(text, on_error="quarantine")
+        w = parse_swf_text(text)
         assert render_swf_text(w) == render_swf_text_reference(w)
 
     def test_nonfinite_values_raise_in_both_renderers(self):
-        text = "; MaxProcs: 8\n1 inf 5 100 4 nan -1 4 120 -1 1 3 1 7 1 -1 -1 -1\n"
-        w = parse_swf_text(text, on_error="quarantine")
+        # The reader refuses them, so a program builds such a workload.
+        w = Workload.from_arrays(
+            machine=MachineInfo("m", 8), submit_time=[np.inf], avg_cpu_time=[np.nan]
+        )
         with pytest.raises((OverflowError, ValueError)):
             render_swf_text_reference(w)
         with pytest.raises((OverflowError, ValueError)):
